@@ -35,13 +35,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# The GF(p) kernels need (p-1)^2 + p < 2^63 in int64 (see linalg).
+MAX_PRIME = 2 ** 31
+
+
 @dataclass(frozen=True)
 class PrimeField:
-    """A prime modulus, validated at construction."""
+    """A prime modulus below MAX_PRIME, validated at construction."""
 
     p: int
 
     def __post_init__(self):
+        if self.p >= MAX_PRIME:
+            raise ValueError(f"prime {self.p} is too large: c4lab supports p < 2^31")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -84,9 +90,11 @@ class FiniteAlgebra:
     # -- validation ------------------------------------------------------
 
     def _validate(self):
-        sc, p = self.sc, self.p
-        left = np.einsum("ijm,mkl->ijkl", sc, sc) % p
-        right = np.einsum("jkm,iml->ijkl", sc, sc) % p
+        sc, p, d = self.sc, self.p, self.dim
+        flat = sc.reshape(d * d, d)
+        # left[i,j,k,l] = sum_m sc[i,j,m] sc[m,k,l]; right[i,j,k,l] = sum_m sc[j,k,m] sc[i,m,l]
+        left = linalg.matmul_mod(flat, sc.reshape(d, d * d), p).reshape(d, d, d, d)
+        right = linalg.matmul_mod(flat, sc, p).reshape(d, d, d, d)
         if not np.array_equal(left, right):
             i, j, k = np.argwhere(np.any(left != right, axis=3))[0]
             raise ValueError(
@@ -180,7 +188,9 @@ class FiniteAlgebra:
             gens.append(i)
             span = linalg.sum_rows(span, ident[i: i + 1], p)
             while True:
-                prods = np.einsum("ui,vj,ijk->uvk", span, span, self.sc) % p
+                # prods[u,v,k] = sum_ij span[u,i] span[v,j] sc[i,j,k]
+                left = linalg.matmul_mod(span, self.sc.reshape(self.dim, -1), p)
+                prods = linalg.matmul_mod(span, left.reshape(-1, self.dim, self.dim), p)
                 bigger = linalg.sum_rows(span, prods.reshape(-1, self.dim), p)
                 if bigger.shape[0] == span.shape[0]:
                     break
@@ -321,6 +331,7 @@ def poly_quotient_algebra(p: int, f_coeffs) -> FiniteAlgebra:
 
     f_coeffs lists coefficients in ascending degree order.
     """
+    p = PrimeField(p).p  # validated before any int64 arithmetic mod p
     f = [int(c) % p for c in f_coeffs]
     n = len(f) - 1
     if n < 1 or f[-1] != 1:
@@ -457,18 +468,18 @@ def corner_algebra(a: FiniteAlgebra, e: AlgebraElement) -> CornerAlgebra:
     sc = np.zeros((k, k, k), dtype=np.int64)
     for r in range(k):
         prods = np.array([a.mul_coords(basis[r], basis[s]) for s in range(k)])
-        coeffs = linalg.express_rows(prods, basis, p)
+        coeffs = linalg.solve_left_many(basis, prods, p)
         if coeffs is None:
             raise ValueError("corner basis not multiplicatively closed")
         sc[r] = coeffs
-    one = linalg.express_rows(e.coords.reshape(1, -1), basis, p)
+    one = linalg.solve_left_many(basis, e.coords.reshape(1, -1), p)
     if one is None:
         raise ValueError("corner identity e not in corner span")
     rad_a = jacobson_radical(a).basis
     if rad_a.shape[0]:
         le = np.einsum("m,nj,mjk->nk", e.coords, rad_a, a.sc) % p
         eje = le @ a.right_mult_matrix(e.coords) % p
-        rad = linalg.express_rows(linalg.row_space(eje, p), basis, p)
+        rad = linalg.solve_left_many(basis, linalg.row_space(eje, p), p)
     else:
         rad = linalg.zeros(0, k)
     labels = tuple(f"c{i}" for i in range(k))

@@ -1,13 +1,20 @@
-"""Command-line surface: analyze, morita, suite."""
+"""Command-line surface: analyze, morita, suite.
+
+Exit codes: 0 success; 1 a transport violation (morita) or a failed
+suite check; 2 an input, validation or guard error; 3 an isomorphism
+search that ran out of samples, so no verdict could be given.  Errors
+and inconclusive searches print one line to stderr.
+"""
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 
 import click
 
 from .conditions import build_defect_report
-from .guards import GuardExceeded
+from .guards import GuardExceeded, IsoInconclusive
 from .io import InputError, load_guards, parse_module, parse_ring
 from .modules import regular_module
 from .morita import morita_pair_check
@@ -24,6 +31,24 @@ from .suite import run_suite
 
 import json
 import os
+
+
+EXIT_ERROR = 2
+EXIT_INCONCLUSIVE = 3
+
+
+@contextmanager
+def _exit_on(*errors):
+    """Turn the given errors, and an inconclusive iso search, into a
+    one-line message and an exit code."""
+    try:
+        yield
+    except errors as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_ERROR)
+    except IsoInconclusive as exc:
+        click.echo(f"inconclusive: {exc}", err=True)
+        sys.exit(EXIT_INCONCLUSIVE)
 
 
 @click.group()
@@ -70,16 +95,13 @@ def _parse_extensions(text):
               help="write the structured report here")
 def analyze(module_file, ring_mode, extensions, strict_chains, guards_path, out_path):
     """Full defect report for one module (or a ring's regular module)."""
-    try:
+    with _exit_on(InputError, ValueError, GuardExceeded):
         guards = load_guards(guards_path)
         module = _load(module_file, ring_mode)
         report = build_defect_report(
             module, module_id=module.name, guards=guards,
             extension_grid=_parse_extensions(extensions),
             strict_chains=strict_chains, ring_mode=ring_mode)
-    except (InputError, ValueError, GuardExceeded) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     click.echo(render_defect_report(report))
     if out_path:
         write_structured(out_path, defect_report_dict(report, guards,
@@ -101,8 +123,8 @@ def morita(module_file, matrix_n, corner_spec, conditions, guards_path, out_path
     """Check condition agreement between a module and its transport."""
     if (matrix_n is None) == (corner_spec is None):
         click.echo("error: exactly one of --matrix or --corner is required", err=True)
-        sys.exit(2)
-    try:
+        sys.exit(EXIT_ERROR)
+    with _exit_on(InputError, ValueError, GuardExceeded):
         guards = load_guards(guards_path)
         module = _load(module_file, ring_mode=False)
         if matrix_n is not None:
@@ -130,9 +152,6 @@ def morita(module_file, matrix_n, corner_spec, conditions, guards_path, out_path
                 cond_list.append(name)
         result = morita_pair_check(module.ring, realization, module,
                                    tuple(cond_list), guards=guards)
-    except (InputError, ValueError, GuardExceeded) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     click.echo(render_morita_report(result))
     if out_path:
         write_structured(out_path, morita_report_dict(result, guards))
@@ -148,7 +167,7 @@ def morita(module_file, matrix_n, corner_spec, conditions, guards_path, out_path
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def suite(name_filter, seed, guards_path, out_path):
     """Run the built-in verification suite."""
-    try:
+    with _exit_on(InputError):
         guards = load_guards(guards_path)
         if seed is not None:
             from .guards import Guards
@@ -156,9 +175,6 @@ def suite(name_filter, seed, guards_path, out_path):
             data["rng_seed"] = seed
             guards = Guards.from_dict(data)
         results = run_suite(guards, name_filter)
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     summary = suite_report_dict(results, guards)
     click.echo(render_suite_report(summary))
     if out_path:

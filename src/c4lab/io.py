@@ -22,6 +22,7 @@ import numpy as np
 
 from .algebra import (
     FiniteAlgebra,
+    PrimeField,
     corner_algebra,
     field_algebra,
     idempotents,
@@ -107,6 +108,10 @@ def _parse_raw_ring(spec: dict, where: str) -> FiniteAlgebra:
         if required not in spec:
             _fail(where, f"missing required key {required!r}")
     p = int(spec["p"])
+    try:
+        PrimeField(p)
+    except ValueError as exc:
+        _fail(where, str(exc))
     dim = int(spec["dim"])
     labels = spec.get("labels") or [f"b{i}" for i in range(dim)]
     sc = np.zeros((dim, dim, dim), dtype=np.int64)

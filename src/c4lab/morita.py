@@ -127,7 +127,7 @@ def corner_progenerator(ring: FiniteAlgebra, e_coords) -> Progenerator:
     p_mod = sub.as_module()
     # split embedding P -> R_R with retraction v -> e*v
     incl = sub.basis
-    retr = linalg.express_rows(ring.left_mult_matrix(e.coords), sub.basis, ring.p)
+    retr = linalg.solve_left_many(sub.basis, ring.left_mult_matrix(e.coords), ring.p)
     if retr is None or not np.array_equal(incl @ retr % ring.p, linalg.eye(sub.dim)):
         raise ValueError("corner retraction failed; e is not idempotent?")
     certs = {
@@ -160,7 +160,7 @@ def _compose_coords(hom_mats, flat_basis, p):
     sc = np.zeros((k, k, k), dtype=np.int64)
     for i in range(k):
         prods = np.einsum("jab,bc->jac", hom_mats, hom_mats[i]) % p
-        coeffs = linalg.express_rows(prods.reshape(k, -1), flat_basis, p)
+        coeffs = linalg.solve_left_many(flat_basis, prods.reshape(k, -1), p)
         if coeffs is None:
             raise ValueError("endomorphism space not closed under composition")
         sc[i] = coeffs
@@ -182,7 +182,7 @@ def end_algebra(p_mod: RightModule, projective: bool = False,
     k = homs.shape[0]
     flat = homs.reshape(k, -1)
     sc = _compose_coords(homs, flat, p)
-    one = linalg.express_rows(linalg.eye(p_mod.dim).reshape(1, -1), flat, p)
+    one = linalg.solve_left_many(flat, linalg.eye(p_mod.dim).reshape(1, -1), p)
     if one is None:
         raise ValueError("identity endomorphism missing from hom basis")
     rad = None
@@ -208,8 +208,8 @@ def _certify_bridge(end_data: EndData, target: FiniteAlgebra, phi_mats, p):
     homs = end_data.hom_mats
     k = homs.shape[0]
     flat = homs.reshape(k, -1)
-    coords = linalg.express_rows(
-        np.array(phi_mats).reshape(target.dim, -1), flat, p)
+    coords = linalg.solve_left_many(
+        flat, np.array(phi_mats).reshape(target.dim, -1), p)
     if coords is None or target.dim != k or linalg.rank(coords, p) != k:
         raise TheoremViolation("endomorphism bridge is not bijective")
     # multiplicativity: coords is an algebra map for the composition order
@@ -247,7 +247,7 @@ def certified_corner_iso(ring: FiniteAlgebra, prog: Progenerator) -> dict:
     phi = []
     for row in corner.embedding:
         lm = ring.left_mult_matrix(row)
-        mat = linalg.express_rows(sub.basis @ lm % ring.p, sub.basis, ring.p)
+        mat = linalg.solve_left_many(sub.basis, sub.basis @ lm % ring.p, ring.p)
         if mat is None:
             raise TheoremViolation("corner left multiplication leaves eR")
         phi.append(mat)
@@ -291,7 +291,7 @@ def apply_functor(prog: Progenerator, m: RightModule) -> TransportedModule:
     action = np.zeros((s_alg.dim, t, t), dtype=np.int64)
     for j in range(s_alg.dim):
         precomposed = np.einsum("ab,tbm->tam", end_data.hom_mats[j], mats) % p
-        coeffs = linalg.express_rows(precomposed.reshape(t, -1), flat, p) \
+        coeffs = linalg.solve_left_many(flat, precomposed.reshape(t, -1), p) \
             if t else linalg.zeros(0, 0)
         if coeffs is None:
             raise ValueError("hom space not closed under precomposition")
@@ -325,7 +325,7 @@ def transport_hom(tr_src: TransportedModule, tr_tgt: TransportedModule,
     t = tr_src.hom_mats.shape[0]
     target_flat = tr_tgt.hom_mats.reshape(tr_tgt.hom_mats.shape[0], -1)
     pushed = np.einsum("tab,bc->tac", tr_src.hom_mats, f.matrix) % p
-    coords = linalg.express_rows(pushed.reshape(t, -1), target_flat, p)
+    coords = linalg.solve_left_many(target_flat, pushed.reshape(t, -1), p)
     if coords is None:
         raise ValueError("postcomposition left the target hom space")
     return ModuleHom(tr_src.image, tr_tgt.image, coords)
@@ -356,12 +356,12 @@ def transport_witness(tr: TransportedModule, w: WitnessRecord) -> WitnessRecord:
     rows = []
     for coords in a_t.basis:
         phi = tr.hom_of_coords(coords)
-        inside = linalg.express_rows(phi, src_a.basis, p)
+        inside = linalg.solve_left_many(src_a.basis, phi, p)
         if inside is None:
             raise TheoremViolation("transported summand leaked outside A")
         pushed = inside @ w.f.matrix % p @ src_b.basis % p
         flat = tr.hom_mats.reshape(tr.hom_mats.shape[0], -1)
-        image_coords = linalg.express_rows(pushed.reshape(1, -1), flat, p)
+        image_coords = linalg.solve_left_many(flat, pushed.reshape(1, -1), p)
         if image_coords is None:
             raise TheoremViolation("pushed witness left the hom space")
         abs_coords = b_t.from_parent(image_coords)

@@ -149,3 +149,37 @@ def test_bad_input_exit_code(runner, tmp_path):
     result = runner.invoke(main, ["analyze", str(bad), "--ring"])
     assert result.exit_code == 2
     assert "prime" in result.output
+
+
+def test_inconclusive_iso_search_exit_code(runner, tmp_path, monkeypatch):
+    import functools
+
+    from c4lab import conditions
+    # F2[x,y]/(x,y)^2: the swCS scan compares its three socle lines.  An
+    # exhaustive bound of 1 and a sample budget of 0 leave that
+    # isomorphism search inconclusive.
+    ring = tmp_path / "k.json"
+    ring.write_text(json.dumps({
+        "p": 2, "dim": 3, "labels": ["1", "x", "y"], "one": [1, 0, 0],
+        "mul": [[0, 0, [1, 0, 0]], [0, 1, [0, 1, 0]], [0, 2, [0, 0, 1]],
+                [1, 0, [0, 1, 0]], [2, 0, [0, 0, 1]]]}))
+    guards = tmp_path / "guards.json"
+    guards.write_text(json.dumps({"max_iso_search": 1}))
+    monkeypatch.setattr(conditions, "iso_test",
+                        functools.partial(conditions.iso_test, sample_budget=0))
+    result = runner.invoke(main, ["analyze", str(ring), "--ring",
+                                  "--guards", str(guards)])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("inconclusive: no isomorphism found")
+    assert result.output.count("\n") == 1
+
+
+def test_too_large_prime_is_a_located_input_error(runner, tmp_path):
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps({"construct": "poly_quotient", "p": 4294967311,
+                               "f": [1, 1]}))
+    result = runner.invoke(main, ["analyze", str(bad), "--ring"])
+    assert result.exit_code == 2
+    assert result.output == (f"error: {bad}: prime 4294967311 is too large: "
+                             "c4lab supports p < 2^31\n")

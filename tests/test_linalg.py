@@ -111,3 +111,150 @@ def test_empty_shapes():
     assert linalg.left_nullspace(linalg.zeros(0, 3), 2).shape == (0, 0)
     assert linalg.left_nullspace(linalg.zeros(3, 0), 2).shape == (3, 3)
     assert linalg.row_space(linalg.zeros(0, 4), 2).shape == (0, 4)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the packed GF(2) elimination and the modular products
+# ---------------------------------------------------------------------------
+
+def reference_rref(mat, p, n_pivot_cols=None):
+    """Textbook Gauss-Jordan on Python ints, pivoting on the first nonzero
+    entry of each column: the order every rref caller relies on."""
+    a = [[int(v) % p for v in row] for row in np.asarray(mat).tolist()]
+    m = len(a)
+    n = np.shape(mat)[1]
+    pivots = []
+    r = 0
+    for c in range(n if n_pivot_cols is None else n_pivot_cols):
+        if r == m:
+            break
+        hit = [i for i in range(r, m) if a[i][c]]
+        if not hit:
+            continue
+        a[r], a[hit[0]] = a[hit[0]], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [v * inv % p for v in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return np.array(a, dtype=np.int64).reshape(m, n), pivots
+
+
+def gf2_cases(seed=11):
+    """Random 0/1 matrices around the 62/63/64-column packing boundary,
+    with zero rows, repeated rows, single rows and wide augmented
+    systems (n_pivot_cols < n)."""
+    rng = np.random.default_rng(seed)
+    widths = [0, 1, 2, 7, 8, 9, 61, 62, 63, 64, 65, 127, 128, 130]
+    for n in widths:
+        for m in (0, 1, 2, 5, 17, 70):
+            density = rng.choice([0.05, 0.5, 0.9])
+            a = (rng.random((m, n)) < density).astype(np.int64)
+            if m >= 3:
+                a[rng.integers(0, m)] = 0
+                a[rng.integers(0, m)] = a[0]
+            yield a, None
+            if n:
+                yield a, int(rng.integers(0, n + 1))
+
+
+def test_gf2_rref_matches_reference_elimination():
+    count = 0
+    for a, k in gf2_cases():
+        got, piv = linalg.rref(a, 2, n_pivot_cols=k)
+        want, want_piv = reference_rref(a, 2, k)
+        assert got.dtype == np.int64 and got.shape == a.shape
+        assert piv == want_piv, (a.shape, k)
+        assert np.array_equal(got, want), (a.shape, k)
+        count += 1
+    assert count > 150
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_general_rref_matches_reference_elimination(p):
+    rng = np.random.default_rng(p)
+    for _ in range(60):
+        m, n = rng.integers(1, 9, size=2)
+        a = rng.integers(0, p, size=(m, n))
+        k = int(rng.integers(0, n + 1))
+        for cols in (None, k):
+            got, piv = linalg.rref(a, p, n_pivot_cols=cols)
+            want, want_piv = reference_rref(a, p, cols)
+            assert piv == want_piv and np.array_equal(got, want)
+
+
+def test_gf2_solve_and_inverse_on_wide_systems():
+    rng = np.random.default_rng(5)
+    for k, n, t in [(3, 70, 4), (60, 64, 8), (70, 130, 20), (64, 64, 64)]:
+        basis = rng.integers(0, 2, size=(k, n))
+        x = rng.integers(0, 2, size=(t, k))
+        rhs = x @ basis % 2
+        sol = linalg.solve_left_many(basis, rhs, 2)
+        assert sol is not None and np.array_equal(sol @ basis % 2, rhs)
+    for n in (5, 63, 64, 65):
+        # unit upper triangular, hence invertible
+        a = np.triu(rng.integers(0, 2, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+        a = a[rng.permutation(n)]
+        inv = linalg.inv_mod(a, 2)
+        assert np.array_equal(a @ inv % 2, np.eye(n, dtype=np.int64))
+
+
+def matmul_reference(a, b, p):
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, batch + a.shape[-2:])
+    b = np.broadcast_to(b, batch + b.shape[-2:])
+    rows, k, cols = a.shape[-2], a.shape[-1], b.shape[-1]
+    out = np.zeros(batch + (rows, cols), dtype=np.int64)
+    for idx in np.ndindex(*batch):
+        x, y = a[idx].tolist(), b[idx].tolist()
+        for i in range(rows):
+            for j in range(cols):
+                out[idx + (i, j)] = sum(x[i][t] * y[t][j] for t in range(k)) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2147483647])
+def test_matmul_mod_matches_python_ints(p):
+    rng = np.random.default_rng(p % 1000)
+    shapes = [((3, 4), (4, 5)), ((1, 1), (1, 1)), ((2, 0), (0, 3)),
+              ((6, 9), (9, 2)), ((4, 3, 5), (5, 2)), ((2, 1, 3, 4), (1, 5, 4, 3)),
+              ((3, 1, 2, 2), (3, 2, 2))]
+    for sa, sb in shapes:
+        a = rng.integers(0, p, size=sa, dtype=np.int64)
+        b = rng.integers(0, p, size=sb, dtype=np.int64)
+        # the largest residues maximise every partial sum
+        a.reshape(-1)[::2] = p - 1
+        b.reshape(-1)[::3] = p - 1
+        got = linalg.matmul_mod(a, b, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, matmul_reference(a, b, p)), (sa, sb)
+
+
+def test_left_nullspace_on_large_gf2_matrices():
+    rng = np.random.default_rng(9)
+    for m, n in [(100, 100), (100, 40), (40, 100), (64, 63), (63, 64), (100, 1)]:
+        a = (rng.random((m, n)) < 0.5).astype(np.int64)
+        # force a rank deficit: tie some rows to others
+        a[m // 2:m // 2 + 5] = (a[:5] + a[5:10]) % 2
+        ns = linalg.left_nullspace(a, 2)
+        rank = len(reference_rref(a, 2)[1])
+        assert ns.shape == (m - rank, m)
+        assert not np.any(ns @ a % 2)
+        assert len(reference_rref(ns, 2)[1]) == m - rank
+
+
+def test_prime_field_bound():
+    from c4lab.algebra import PrimeField, field_algebra
+    with pytest.raises(ValueError, match=r"p < 2\^31"):
+        PrimeField(4294967311)
+    with pytest.raises(ValueError, match=r"p < 2\^31"):
+        field_algebra(4294967311)
+    p = 2147483647
+    assert PrimeField(p).p == p
+    sq = linalg.matmul_mod(np.array([[p - 1]]), np.array([[p - 1]]), p)
+    assert sq.tolist() == [[1]]
+    f = field_algebra(p)
+    assert f.mul_coords([p - 1], [p - 1]).tolist() == [1]
