@@ -55,7 +55,6 @@ from .modules import (
     Submodule,
     SubmoduleLattice,
     all_submodules,
-    build_module,
     classical_predicates,
     composition_length,
     direct_sum,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .guards import check_guard
+from .guards import memo
 
 
 def is_prime(n: int) -> bool:
@@ -142,11 +142,11 @@ class FiniteAlgebra:
 
     def right_regular_stack(self) -> np.ndarray:
         """Action matrices of the regular module: stack[j] = rho(b_j)."""
-        if "rho" not in self._cache:
+        def stack():
             rho = np.ascontiguousarray(self.sc.transpose(1, 0, 2))
             rho.setflags(write=False)
-            self._cache["rho"] = rho
-        return self._cache["rho"]
+            return rho
+        return memo(self._cache, "rho", stack)
 
     # -- element enumeration ---------------------------------------------
 
@@ -156,18 +156,10 @@ class FiniteAlgebra:
     def all_element_rows(self, guard: int = 2 ** 20) -> np.ndarray:
         """All coordinate vectors in lexicographic order, shape (p^dim, dim)."""
         n = self.element_count()
-        check_guard(f"element enumeration of {self.name}", n, guard)
-        if "elements" not in self._cache:
-            self._cache["elements"] = linalg.decode_codes(
-                np.arange(n, dtype=np.int64), self.dim, self.p)
-        return self._cache["elements"]
-
-    def coords_code(self, coords) -> int:
-        """Integer code of a coordinate vector (basis for lookup tables)."""
-        code = 0
-        for v in np.asarray(coords, dtype=np.int64):
-            code = code * self.p + int(v) % self.p
-        return code
+        return memo(self._cache, "elements",
+                    lambda: linalg.decode_codes(np.arange(n, dtype=np.int64),
+                                                self.dim, self.p),
+                    guard=(f"element enumeration of {self.name}", n, guard))
 
     def generator_indices(self) -> list[int]:
         """Basis indices generating the algebra as a unital algebra.
@@ -176,8 +168,9 @@ class FiniteAlgebra:
         the unital subalgebra generated so far.  Commutant computations
         only need these indices.
         """
-        if "gens" in self._cache:
-            return self._cache["gens"]
+        return memo(self._cache, "gens", self._generator_scan)
+
+    def _generator_scan(self) -> list[int]:
         p = self.p
         span = linalg.row_space(self.one.reshape(1, -1), p)
         gens: list[int] = []
@@ -197,19 +190,19 @@ class FiniteAlgebra:
                 span = bigger
             if span.shape[0] == self.dim:
                 break
-        self._cache["gens"] = gens
         return gens
 
     def unit_table(self, guard: int = 2 ** 20) -> np.ndarray:
         """Boolean table over element codes: True iff the element is a unit."""
-        if "unit_table" not in self._cache:
-            rows = self.all_element_rows(guard)
+        rows = self.all_element_rows(guard)
+
+        def table():
             lmats = np.einsum("ni,ijk->njk", rows, self.sc) % self.p
-            table = np.zeros(rows.shape[0], dtype=bool)
+            units = np.zeros(rows.shape[0], dtype=bool)
             for idx in range(rows.shape[0]):
-                table[idx] = linalg.rank(lmats[idx], self.p) == self.dim
-            self._cache["unit_table"] = table
-        return self._cache["unit_table"]
+                units[idx] = linalg.rank(lmats[idx], self.p) == self.dim
+            return units
+        return memo(self._cache, "unit_table", table)
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name}, p={self.p}, dim={self.dim})"
@@ -448,9 +441,6 @@ class CornerAlgebra:
     algebra: FiniteAlgebra
     embedding: np.ndarray  # rows: corner basis written in A-coordinates
 
-    def embed_rows(self, rows) -> np.ndarray:
-        return linalg.as_gf(rows, self.algebra.p) @ self.embedding % self.algebra.p
-
 
 def corner_algebra(a: FiniteAlgebra, e: AlgebraElement) -> CornerAlgebra:
     """The corner algebra e*A*e for an idempotent e, with identity e."""
@@ -532,8 +522,13 @@ def jacobson_radical(a: FiniteAlgebra, guard: int = 2 ** 20) -> IdealBasis:
     otherwise the quasi-regularity test runs exhaustively over all
     p^dim elements (guarded).
     """
-    if "radical" in a._cache:
-        return a._cache["radical"]
+    scan = a._known_radical is None
+    return memo(a._cache, "radical", lambda: _radical(a, guard),
+                guard=(f"element enumeration of {a.name}", a.element_count(), guard)
+                if scan else None)
+
+
+def _radical(a: FiniteAlgebra, guard: int) -> IdealBasis:
     if a._known_radical is not None:
         result = IdealBasis(a, a._known_radical)
     else:
@@ -554,39 +549,36 @@ def jacobson_radical(a: FiniteAlgebra, guard: int = 2 ** 20) -> IdealBasis:
             if members else linalg.zeros(0, a.dim)
         result = IdealBasis(a, basis)
     result.basis.setflags(write=False)
-    a._cache["radical"] = result
     return result
 
 
 def idempotents(a: FiniteAlgebra, guard: int = 2 ** 20) -> list[AlgebraElement]:
     """All e with e*e = e, in lexicographic coordinate order."""
-    if "idempotents" in a._cache:
-        return a._cache["idempotents"]
     n = a.element_count()
-    check_guard(f"idempotent enumeration of {a.name}", n, guard)
-    found = []
-    for _, coeffs in linalg.coeff_blocks(n, a.dim, a.p):
-        sq = np.einsum("ni,nj,ijk->nk", coeffs, coeffs, a.sc) % a.p
-        mask = np.all(sq == coeffs, axis=1)
-        for row in coeffs[mask]:
-            found.append(a.element(row))
-    a._cache["idempotents"] = found
-    return found
+
+    def scan():
+        found = []
+        for _, coeffs in linalg.coeff_blocks(n, a.dim, a.p):
+            sq = np.einsum("ni,nj,ijk->nk", coeffs, coeffs, a.sc) % a.p
+            mask = np.all(sq == coeffs, axis=1)
+            for row in coeffs[mask]:
+                found.append(a.element(row))
+        return found
+    return memo(a._cache, "idempotents", scan,
+                guard=(f"idempotent enumeration of {a.name}", n, guard))
 
 
 def is_full_idempotent(a: FiniteAlgebra, e: AlgebraElement) -> bool:
     """True iff e is idempotent and A e A = A."""
+    return idempotent_span_dim(a, e) == a.dim
+
+
+def idempotent_span_dim(a: FiniteAlgebra, e: AlgebraElement) -> int:
+    """Dimension of the two-sided span A e A of an idempotent e."""
     if e.parent is not a:
         raise ValueError("idempotent does not belong to the given algebra")
     if not e.is_idempotent():
         raise ValueError("e^2 != e")
     bie = np.einsum("j,ijk->ik", e.coords, a.sc) % a.p       # rows b_i*e
     span = np.einsum("im,mjk->ijk", bie, a.sc) % a.p         # (b_i*e)*b_j
-    return linalg.rank(span.reshape(-1, a.dim), a.p) == a.dim
-
-
-def full_idempotent_span_dim(a: FiniteAlgebra, e: AlgebraElement) -> int:
-    """Dimension of the two-sided span A e A (for diagnostics)."""
-    bie = np.einsum("j,ijk->ik", e.coords, a.sc) % a.p
-    span = np.einsum("im,mjk->ijk", bie, a.sc) % a.p
     return linalg.rank(span.reshape(-1, a.dim), a.p)

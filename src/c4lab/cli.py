@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import click
 
-from .conditions import build_defect_report
+from .conditions import CONDITION_NAMES, DEFAULT_RULE_ID, build_defect_report, parse_condition
 from .guards import GuardExceeded, IsoInconclusive
 from .io import InputError, load_guards, parse_module, parse_ring
 from .modules import regular_module
@@ -104,8 +104,7 @@ def analyze(module_file, ring_mode, extensions, strict_chains, guards_path, out_
             strict_chains=strict_chains, ring_mode=ring_mode)
     click.echo(render_defect_report(report))
     if out_path:
-        write_structured(out_path, defect_report_dict(report, guards,
-                                                      "mono-image-splits"))
+        write_structured(out_path, defect_report_dict(report, guards, DEFAULT_RULE_ID))
 
 
 @main.command()
@@ -115,8 +114,9 @@ def analyze(module_file, ring_mode, extensions, strict_chains, guards_path, out_
 @click.option("--corner", "corner_spec", default=None,
               help="compare against the corner at this idempotent "
                    "(index into idempotents(R), or comma-separated coordinates)")
-@click.option("--conditions", default="C4,C4star,swCS,strong,iota",
-              show_default=True, help="comma-separated condition list")
+@click.option("--conditions", default=",".join(CONDITION_NAMES),
+              show_default=True,
+              help="comma-separated condition names and ext:m:d[:strict|nonstrict] cells")
 @click.option("--guards", "guards_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def morita(module_file, matrix_n, corner_spec, conditions, guards_path, out_path):
@@ -125,6 +125,11 @@ def morita(module_file, matrix_n, corner_spec, conditions, guards_path, out_path
         click.echo("error: exactly one of --matrix or --corner is required", err=True)
         sys.exit(EXIT_ERROR)
     with _exit_on(InputError, ValueError, GuardExceeded):
+        try:
+            cond_list = tuple(parse_condition(name.strip())
+                              for name in conditions.split(",") if name.strip())
+        except ValueError as exc:
+            raise InputError(f"--conditions: {exc}") from None
         guards = load_guards(guards_path)
         module = _load(module_file, ring_mode=False)
         if matrix_n is not None:
@@ -142,16 +147,8 @@ def morita(module_file, matrix_n, corner_spec, conditions, guards_path, out_path
                         f"({len(idems)} idempotents)")
                 coords = idems[idx].coords
             realization = ("corner", coords)
-        cond_list = []
-        for name in conditions.split(","):
-            name = name.strip()
-            if name.startswith("ext:"):
-                _, m_ar, d_dep = name.split(":")[:3]
-                cond_list.append(("ext", int(m_ar), int(d_dep), True))
-            elif name:
-                cond_list.append(name)
         result = morita_pair_check(module.ring, realization, module,
-                                   tuple(cond_list), guards=guards)
+                                   cond_list, guards=guards)
     click.echo(render_morita_report(result))
     if out_path:
         write_structured(out_path, morita_report_dict(result, guards))

@@ -13,12 +13,13 @@ the arity/depth extensions.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .guards import Guards, DEFAULT_GUARDS, TheoremViolation, check_guard
+from .guards import Guards, DEFAULT_GUARDS, TheoremViolation, check_guard, memo
 from .modules import (
     ModuleHom,
     RightModule,
@@ -64,16 +65,16 @@ class Decomposition:
 
 def enumerate_decompositions(m: RightModule,
                              max_end: int = 2 ** 20) -> tuple[Decomposition, ...]:
-    """One decomposition per idempotent of End(M), in deterministic order.
-
-    Guard precedes the cache lookup so bounds stay call-consistent.
-    """
+    """One decomposition per idempotent of End(M), in deterministic order."""
     homs = hom_space_matrices(m, m)
     k = homs.shape[0]
     total = m.p ** k
-    check_guard(f"endomorphism scan of {m.name}", total, max_end)
-    if "decompositions" in m._cache:
-        return m._cache["decompositions"]
+    return memo(m._cache, "decompositions", lambda: _end_scan(m, homs, total),
+                guard=(f"endomorphism scan of {m.name}", total, max_end))
+
+
+def _end_scan(m: RightModule, homs: np.ndarray, total: int) -> tuple[Decomposition, ...]:
+    k = homs.shape[0]
     out = []
     if m.dim == 0:
         zero = m.zero_submodule()
@@ -90,22 +91,19 @@ def enumerate_decompositions(m: RightModule,
                 kernel = Submodule(m, linalg.left_nullspace(e, m.p), check=False)
                 out.append(Decomposition(m, image, kernel,
                                          ModuleHom(m, m, e, check=False)))
-    result = tuple(out)
-    m._cache["decompositions"] = result
-    return result
+    return tuple(out)
 
 
 def summand_list(m: RightModule, max_end: int = 2 ** 20) -> tuple[Submodule, ...]:
     """Distinct direct summands of M (images of End idempotents)."""
     decs = enumerate_decompositions(m, max_end)
-    if "summands" in m._cache:
-        return m._cache["summands"]
-    seen: dict[bytes, Submodule] = {}
-    for dec in decs:
-        seen.setdefault(dec.a.key(), dec.a)
-    result = tuple(sorted(seen.values(), key=lambda s: (s.dim, s.key())))
-    m._cache["summands"] = result
-    return result
+
+    def distinct():
+        seen: dict[bytes, Submodule] = {}
+        for dec in decs:
+            seen.setdefault(dec.a.key(), dec.a)
+        return tuple(sorted(seen.values(), key=lambda s: (s.dim, s.key())))
+    return memo(m._cache, "summands", distinct)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +130,7 @@ def _mono_image_splits(parent, dec, f, kernel, image):
 
 
 _RULES: dict[str, WitnessRule] = {}
+DEFAULT_RULE_ID = "mono-image-splits"
 
 
 def register_rule(rule: WitnessRule) -> None:
@@ -148,13 +147,11 @@ def get_rule(rule_id: str) -> WitnessRule:
 
 
 register_rule(WitnessRule(
-    rule_id="mono-image-splits",
+    rule_id=DEFAULT_RULE_ID,
     description="every injective map between complementary summands has "
                 "a direct-summand image",
     evaluate=_mono_image_splits,
 ))
-
-DEFAULT_RULE_ID = "mono-image-splits"
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +205,10 @@ def def_c4(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
                     m.p ** hom_space_matrices(dec.a.as_module(),
                                               dec.b.as_module()).shape[0],
                     guards.max_hom_scan)
-    key = ("def_c4", rule_id)
-    if key in m._cache:
-        return m._cache[key]
+    return memo(m._cache, ("def_c4", rule_id), lambda: _hom_scan(m, decs, rule_id))
+
+
+def _hom_scan(m: RightModule, decs, rule_id: str) -> tuple[WitnessRecord, ...]:
     defects = []
     for dec in decs:
         a_mod = dec.a.as_module()
@@ -228,9 +226,7 @@ def def_c4(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
                 rec = evaluate_witness(m, dec, f, rule_id)
                 if rec.verdict == "defect":
                     defects.append(rec)
-    result = tuple(defects)
-    m._cache[key] = result
-    return result
+    return tuple(defects)
 
 
 def is_c4(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
@@ -238,23 +234,21 @@ def is_c4(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
     return len(def_c4(m, rule_id, guards)) == 0
 
 
-def shape_classes(witnesses) -> dict:
-    """Group witnesses by shape key; values are (count, sample)."""
-    out: dict[tuple, list] = {}
-    for w in witnesses:
-        out.setdefault(w.shape_key(), []).append(w)
-    return {k: (len(v), v[0]) for k, v in sorted(out.items(), key=lambda kv: repr(kv[0]))}
-
-
 def c4star_class_key(sub: Submodule, rec: WitnessRecord) -> tuple:
     """Shape key of a submodule-level defect: carrier screen + local key."""
     return (fingerprint(sub.as_module()), rec.shape_key())
 
 
-def c4star_shape_classes(items) -> dict:
+def shape_classes(items) -> dict:
+    """Group defects by shape key; values are (count, sample).
+
+    Items are witnesses, or (submodule, witness) pairs keyed by
+    c4star_class_key.
+    """
     out: dict[tuple, list] = {}
-    for sub, rec in items:
-        out.setdefault(c4star_class_key(sub, rec), []).append((sub, rec))
+    for item in items:
+        key = c4star_class_key(*item) if isinstance(item, tuple) else item.shape_key()
+        out.setdefault(key, []).append(item)
     return {k: (len(v), v[0]) for k, v in sorted(out.items(), key=lambda kv: repr(kv[0]))}
 
 
@@ -266,19 +260,11 @@ def def_c4star(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
                guards: Guards = DEFAULT_GUARDS) -> tuple:
     """Pairs (X, witness) over every lattice member X failing the rule."""
     lat = all_submodules(m, guards.max_lattice_vectors)
-    key = ("def_c4star", rule_id)
-    if key in m._cache:
-        # per-member guards re-checked through def_c4 below either way
-        for sub in lat.members:
-            def_c4(sub.as_module(), rule_id, guards)
-        return m._cache[key]
-    out = []
-    for sub in lat.members:
-        for rec in def_c4(sub.as_module(), rule_id, guards):
-            out.append((sub, rec))
-    result = tuple(out)
-    m._cache[key] = result
-    return result
+    # def_c4 runs on every member even when the pairs are cached: it is
+    # what re-checks each member's guards under the bounds of this call
+    per_member = [(sub, def_c4(sub.as_module(), rule_id, guards)) for sub in lat.members]
+    return memo(m._cache, ("def_c4star", rule_id),
+                lambda: tuple((sub, rec) for sub, recs in per_member for rec in recs))
 
 
 def is_c4star(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
@@ -309,15 +295,19 @@ class ObstructionPair:
 READINGS = ("submodule", "literal-summand")
 
 
-def _swcs_data(m: RightModule, reading: str, guards: Guards):
+def obs_swcs(m: RightModule, reading: str = "submodule",
+             guards: Guards = DEFAULT_GUARDS) -> tuple[ObstructionPair, ...]:
     if reading not in READINGS:
         raise ValueError(f"unknown reading {reading!r}")
     summands = summand_list(m, guards.max_end_enumeration)
     if reading == "submodule":
         all_submodules(m, guards.max_lattice_vectors)
-    key = ("swcs", reading)
-    if key in m._cache:
-        return m._cache[key]
+    return memo(m._cache, ("swcs", reading),
+                lambda: _obstruction_pairs(m, reading, summands, guards))
+
+
+def _obstruction_pairs(m: RightModule, reading: str, summands,
+                       guards: Guards) -> tuple[ObstructionPair, ...]:
     if reading == "literal-summand":
         candidates = [s for s in summands
                       if s.dim > 0 and is_semisimple(s.as_module())]
@@ -367,14 +357,7 @@ def _swcs_data(m: RightModule, reading: str, guards: Guards):
         lx = composition_length(x.as_module())
         ly = composition_length(y.as_module())
         pairs.append(ObstructionPair(x, y, cert, minimal, (lx, ly)))
-    result = tuple(pairs)
-    m._cache[key] = result
-    return result
-
-
-def obs_swcs(m: RightModule, reading: str = "submodule",
-             guards: Guards = DEFAULT_GUARDS) -> tuple[ObstructionPair, ...]:
-    return _swcs_data(m, reading, guards)
+    return tuple(pairs)
 
 
 def is_semiweak_cs(m: RightModule, reading: str = "submodule",
@@ -464,12 +447,7 @@ def is_c4_m(m: RightModule, arity: int, rule_id: str = DEFAULT_RULE_ID,
     if arity == 2:
         return is_c4(m, rule_id, guards)
     enumerate_decompositions(m, guards.max_end_enumeration)
-    key = ("c4m", arity, rule_id)
-    if key in m._cache:
-        return m._cache[key]
-    result = _c4_m_scan(m, arity, guards)
-    m._cache[key] = result
-    return result
+    return memo(m._cache, ("c4m", arity, rule_id), lambda: _c4_m_scan(m, arity, guards))
 
 
 def _c4_m_scan(m: RightModule, arity: int, guards: Guards) -> bool:
@@ -581,6 +559,66 @@ def check_extended(m: RightModule, arity: int = 2, depth: int = 1,
 
 
 # ---------------------------------------------------------------------------
+# the condition registry
+# ---------------------------------------------------------------------------
+
+# name -> predicate (m, rule_id, guards); extension cells, spelled
+# ext:m:d[:strict|nonstrict], evaluate check_extended at that cell
+CONDITIONS = {
+    "C4": is_c4,
+    "C4star": is_c4star,
+    "swCS": lambda m, rule_id, guards: is_semiweak_cs(m, "submodule", guards),
+    "strong": is_strongly_c4star,
+    "iota": lambda m, rule_id, guards: obstruction_index(m, "submodule", guards),
+    "semisimple": lambda m, rule_id, guards: is_semisimple(m),
+    "summand_square_free": lambda m, rule_id, guards: is_summand_square_free(
+        m, guards.max_end_enumeration, guards.max_iso_search, guards.rng_seed),
+}
+
+# the conditions transport must preserve: the default comparison list
+CONDITION_NAMES = ("C4", "C4star", "swCS", "strong", "iota")
+
+_EXT_CELL = re.compile(r"ext:([0-9]+):([0-9]+)(?::(strict|nonstrict))?")
+
+
+def evaluate_condition(m: RightModule, condition, rule_id: str, guards: Guards):
+    """Value of a registered name or an ("ext", m, d, strict) cell on m."""
+    if isinstance(condition, tuple):
+        _, arity, depth, strict = condition
+        return check_extended(m, arity, depth, strict, rule_id, guards)
+    if condition not in CONDITIONS:
+        raise ValueError(f"unknown condition {condition!r}")
+    return CONDITIONS[condition](m, rule_id, guards)
+
+
+def condition_label(condition) -> str:
+    if isinstance(condition, tuple):
+        _, arity, depth, strict = condition
+        return f"ext:{arity}:{depth}:{'strict' if strict else 'nonstrict'}"
+    return condition
+
+
+def parse_condition(text: str):
+    """Inverse of condition_label; an extension cell is strict by default."""
+    if text in CONDITIONS:
+        return text
+    cell = _EXT_CELL.fullmatch(text)
+    if cell is None:
+        raise ValueError(f"unknown condition {text!r}: expected one of "
+                         f"{', '.join(CONDITIONS)} or ext:m:d[:strict|nonstrict]")
+    if int(cell[1]) < 2:
+        raise ValueError(f"condition {text!r}: arity must be >= 2")
+    return ("ext", int(cell[1]), int(cell[2]), cell[3] != "nonstrict")
+
+
+def serialize_value(value):
+    """A condition value for a report: the infinite index is "infinity"."""
+    if isinstance(value, float) and value == INFINITY:
+        return "infinity"
+    return value
+
+
+# ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
 
@@ -673,7 +711,7 @@ def build_defect_report(m: RightModule, module_id: str | None = None,
         def_c4=c4_defects if c4_defects is not None else (),
         def_c4_classes=shape_classes(c4_defects) if c4_defects else {},
         def_c4star=c4star_defects if c4star_defects is not None else (),
-        def_c4star_classes=c4star_shape_classes(c4star_defects) if c4star_defects else {},
+        def_c4star_classes=shape_classes(c4star_defects) if c4star_defects else {},
         obs=pairs if pairs is not None else (),
         obstruction_index=iota,
         extensions=extensions,

@@ -26,6 +26,7 @@ from .algebra import (
     quotient_algebra,
     upper_triangular_algebra,
 )
+from .guards import memo
 from .modules import (
     RightModule,
     all_submodules,
@@ -59,9 +60,10 @@ class CorpusEntry:
 def simple_modules(ring: FiniteAlgebra) -> list[RightModule]:
     """Representatives of the simple right modules, via minimal submodules
     of the semisimple quotient acting through the ring."""
-    key = "simple_modules"
-    if key in ring._cache:
-        return ring._cache[key]
+    return memo(ring._cache, "simple_modules", lambda: _simple_modules(ring))
+
+
+def _simple_modules(ring: FiniteAlgebra) -> list[RightModule]:
     rad = jacobson_radical(ring)
     quot, project = quotient_algebra(ring, rad)
     k = quot.dim
@@ -81,7 +83,6 @@ def simple_modules(ring: FiniteAlgebra) -> list[RightModule]:
     found.sort(key=lambda m: (m.dim, m.action.tobytes()))
     for idx, mod in enumerate(found):
         mod.name = f"{ring.name}_S{idx + 1}" if len(found) > 1 else f"{ring.name}_S"
-    ring._cache[key] = found
     return found
 
 

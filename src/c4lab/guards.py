@@ -4,6 +4,10 @@ Every enumeration (lattices, endomorphism scans, hom-space scans,
 isomorphism searches) is bounded; exceeding a bound raises
 GuardExceeded naming the offending count and the bound, never a silent
 truncation.
+
+Results are cached per object through `memo`, which checks the guard
+before it looks in the cache: a call under a smaller bound raises even
+when a call under a larger bound already stored the result.
 """
 
 from __future__ import annotations
@@ -79,3 +83,15 @@ DEFAULT_GUARDS = Guards()
 def check_guard(what: str, needed: int, bound: int) -> None:
     if needed > bound:
         raise GuardExceeded(what, needed, bound)
+
+
+def memo(cache: dict, key, compute, guard=None):
+    """cache[key], computed by compute() and stored on a miss.
+
+    guard, a (what, needed, bound) triple, is checked first.
+    """
+    if guard is not None:
+        check_guard(*guard)
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import FiniteAlgebra, jacobson_radical
-from .guards import IsoInconclusive, check_guard
+from .guards import IsoInconclusive, check_guard, memo
 
 
 class RightModule:
@@ -71,17 +71,11 @@ class RightModule:
         return f"RightModule({self.name} over {self.ring.name}, dim={self.dim})"
 
 
-def build_module(ring: FiniteAlgebra, action, name: str = "M") -> RightModule:
-    """Validating constructor for a right module from action matrices."""
-    return RightModule(ring, action, name=name, validate=True)
-
-
 def regular_module(ring: FiniteAlgebra) -> RightModule:
     """The regular module: the ring acting on itself by right multiplication."""
-    if "regular_module" not in ring._cache:
-        mod = RightModule(ring, ring.right_regular_stack(), name=f"{ring.name}_reg")
-        ring._cache["regular_module"] = mod
-    return ring._cache["regular_module"]
+    return memo(ring._cache, "regular_module",
+                lambda: RightModule(ring, ring.right_regular_stack(),
+                                    name=f"{ring.name}_reg"))
 
 
 def direct_sum(*parts: RightModule, name: str | None = None):
@@ -161,21 +155,17 @@ class Submodule:
 
     def membership_cols(self) -> np.ndarray:
         """Matrix Q with v in this submodule iff v @ Q = 0."""
-        if "memb" not in self._cache:
-            if self.dim == 0:
-                q = linalg.eye(self.parent.dim)
-            else:
-                q = linalg.right_kernel_cols(self.basis, self.parent.p)
-            self._cache["memb"] = q
-        return self._cache["memb"]
+        return memo(self._cache, "memb",
+                    lambda: linalg.eye(self.parent.dim) if self.dim == 0
+                    else linalg.right_kernel_cols(self.basis, self.parent.p))
 
     def as_module(self) -> RightModule:
         """The submodule as an abstract module in its own basis."""
-        if "abstract" in self._cache:
-            return self._cache["abstract"]
+        return memo(self._cache, "abstract", self._abstract_module)
+
+    def _abstract_module(self) -> RightModule:
         parent, p = self.parent, self.parent.p
         if self.dim == parent.dim:
-            self._cache["abstract"] = parent
             return parent
         action = np.zeros((parent.ring.dim, self.dim, self.dim), dtype=np.int64)
         if self.dim:
@@ -185,10 +175,8 @@ class Submodule:
                 if coeff is None:
                     raise ValueError("span is not closed under the ring action")
                 action[j] = coeff
-        mod = RightModule(parent.ring, action,
-                          name=f"{parent.name}|sub{self.dim}", validate=False)
-        self._cache["abstract"] = mod
-        return mod
+        return RightModule(parent.ring, action,
+                           name=f"{parent.name}|sub{self.dim}", validate=False)
 
     def to_parent(self, abstract_rows) -> np.ndarray:
         rows = linalg.as_gf(abstract_rows, self.parent.p)
@@ -201,10 +189,6 @@ class Submodule:
         if self.dim == self.parent.dim:
             return rows
         return linalg.solve_left_many(self.basis, rows, self.parent.p)
-
-    def sub_in_parent(self, sub: "Submodule") -> "Submodule":
-        """Lift a submodule of the abstract module back into the parent."""
-        return Submodule(self.parent, self.to_parent(sub.basis), check=False)
 
     def __repr__(self):
         return f"Submodule(dim={self.dim} of {self.parent.name})"
@@ -243,9 +227,6 @@ class ModuleHom:
 
     def is_injective(self) -> bool:
         return self.rank() == self.source.dim
-
-    def is_surjective(self) -> bool:
-        return self.rank() == self.target.dim
 
     def is_isomorphism(self) -> bool:
         return self.source.dim == self.target.dim and self.is_injective()
@@ -362,17 +343,10 @@ class SubmoduleLattice:
     def __init__(self, parent: RightModule, members: list[Submodule]):
         self.parent = parent
         self.members = tuple(members)
-        self._index = {s.key(): i for i, s in enumerate(self.members)}
         self._contains: np.ndarray | None = None
 
     def __len__(self):
         return len(self.members)
-
-    def index_of(self, sub: Submodule) -> int:
-        try:
-            return self._index[sub.key()]
-        except KeyError:
-            raise ValueError("submodule is not a lattice member") from None
 
     def contains_matrix(self) -> np.ndarray:
         """Boolean matrix C with C[i, j] true iff members[i] <= members[j]."""
@@ -438,15 +412,13 @@ def _cyclic_bases_gf2(m: RightModule, total: int) -> list[np.ndarray]:
 
 
 def all_submodules(m: RightModule, max_vectors: int = 2 ** 16) -> SubmoduleLattice:
-    """Every submodule: cyclic submodules closed under pairwise sums.
-
-    The guard is checked before the cache so a small-guard call cannot
-    ride on a result computed under a larger bound.
-    """
+    """Every submodule: cyclic submodules closed under pairwise sums."""
     total = m.p ** m.dim
-    check_guard(f"submodule lattice of {m.name}", total, max_vectors)
-    if "lattice" in m._cache:
-        return m._cache["lattice"]
+    return memo(m._cache, "lattice", lambda: _lattice(m, total),
+                guard=(f"submodule lattice of {m.name}", total, max_vectors))
+
+
+def _lattice(m: RightModule, total: int) -> SubmoduleLattice:
     p = m.p
     seen: dict[bytes, np.ndarray] = {}
     zero = linalg.zeros(0, m.dim)
@@ -475,9 +447,7 @@ def all_submodules(m: RightModule, max_vectors: int = 2 ** 16) -> SubmoduleLatti
         frontier = fresh
     members = [Submodule(m, b, check=False) for b in seen.values()]
     members.sort(key=lambda s: (s.dim, s.key()))
-    lat = SubmoduleLattice(m, members)
-    m._cache["lattice"] = lat
-    return lat
+    return SubmoduleLattice(m, members)
 
 
 def radical_submodule(m: RightModule) -> Submodule:
@@ -491,16 +461,15 @@ def radical_submodule(m: RightModule) -> Submodule:
 
 def socle(m: RightModule) -> Submodule:
     """soc(M) = annihilator of J(ring) in M (artinian identity)."""
-    if "socle" in m._cache:
-        return m._cache["socle"]
+    return memo(m._cache, "socle", lambda: _socle(m))
+
+
+def _socle(m: RightModule) -> Submodule:
     rad = jacobson_radical(m.ring).basis
     if rad.shape[0] == 0 or m.dim == 0:
-        result = m.full_submodule()
-    else:
-        stacked = np.concatenate([m.rho(j) for j in rad], axis=1)
-        result = Submodule(m, linalg.left_nullspace(stacked, m.p), check=False)
-    m._cache["socle"] = result
-    return result
+        return m.full_submodule()
+    stacked = np.concatenate([m.rho(j) for j in rad], axis=1)
+    return Submodule(m, linalg.left_nullspace(stacked, m.p), check=False)
 
 
 def radical_series_dims(m: RightModule) -> tuple[int, ...]:
@@ -589,12 +558,7 @@ def is_summand(n: Submodule, m: RightModule):
     Returns a complement Submodule when N is a direct summand, else None.
     """
     _check_sub(n, m)
-    key = ("summand", n.key())
-    if key in m._cache:
-        return m._cache[key]
-    result = _is_summand(n, m)
-    m._cache[key] = result
-    return result
+    return memo(m._cache, ("summand", n.key()), lambda: _is_summand(n, m))
 
 
 def _is_summand(n: Submodule, m: RightModule):
@@ -713,34 +677,30 @@ def _semisimple_length(m: RightModule, max_vectors: int) -> int:
 
 def composition_length(m: RightModule, max_vectors: int = 2 ** 16) -> int:
     """Length = sum of socle-layer lengths (Jordan-Hoelder count)."""
-    if "length" in m._cache:
-        return m._cache["length"]
+    return memo(m._cache, "length", lambda: _composition_length(m, max_vectors))
+
+
+def _composition_length(m: RightModule, max_vectors: int) -> int:
     if m.dim == 0:
-        result = 0
-    else:
-        soc = socle(m)
-        layer = _semisimple_length(soc.as_module(), max_vectors)
-        if soc.dim == m.dim:
-            result = layer
-        else:
-            quot, _ = quotient_module(m, soc)
-            result = layer + composition_length(quot, max_vectors)
-    m._cache["length"] = result
-    return result
+        return 0
+    soc = socle(m)
+    layer = _semisimple_length(soc.as_module(), max_vectors)
+    if soc.dim == m.dim:
+        return layer
+    quot, _ = quotient_module(m, soc)
+    return layer + composition_length(quot, max_vectors)
 
 
 def fingerprint(m: RightModule) -> tuple:
     """Cheap isomorphism-invariant screen (no lattice needed)."""
-    if "fingerprint" not in m._cache:
-        m._cache["fingerprint"] = (
-            m.dim,
-            socle(m).dim,
-            composition_length(m),
-            hom_dim(m, m),
-            radical_series_dims(m),
-            socle_series_dims(m),
-        )
-    return m._cache["fingerprint"]
+    return memo(m._cache, "fingerprint", lambda: (
+        m.dim,
+        socle(m).dim,
+        composition_length(m),
+        hom_dim(m, m),
+        radical_series_dims(m),
+        socle_series_dims(m),
+    ))
 
 
 # ---------------------------------------------------------------------------

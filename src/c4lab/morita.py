@@ -26,27 +26,25 @@ from .algebra import (
     FiniteAlgebra,
     IdealBasis,
     corner_algebra,
-    full_idempotent_span_dim,
-    is_full_idempotent,
+    idempotent_span_dim,
     matrix_algebra,
 )
 from .conditions import (
+    CONDITION_NAMES,
     Decomposition,
     WitnessRecord,
     c4star_class_key,
-    check_extended,
+    condition_label,
     def_c4,
     def_c4star,
+    evaluate_condition,
     evaluate_witness,
-    is_c4,
-    is_c4star,
-    is_semiweak_cs,
-    is_strongly_c4star,
     obs_swcs,
     obstruction_index,
+    serialize_value,
     DEFAULT_RULE_ID,
 )
-from .guards import Guards, DEFAULT_GUARDS, TheoremViolation
+from .guards import Guards, DEFAULT_GUARDS, TheoremViolation, memo
 from .modules import (
     ModuleHom,
     RightModule,
@@ -116,10 +114,10 @@ def corner_progenerator(ring: FiniteAlgebra, e_coords) -> Progenerator:
     e = ring.element(e_coords)
     if not e.is_idempotent():
         raise ValueError("corner progenerator requires an idempotent")
-    if not is_full_idempotent(ring, e):
-        deficiency = full_idempotent_span_dim(ring, e)
+    span_dim = idempotent_span_dim(ring, e)
+    if span_dim < ring.dim:
         raise ValueError(
-            f"idempotent is not full: span AeA has dimension {deficiency} "
+            f"idempotent is not full: span AeA has dimension {span_dim} "
             f"< {ring.dim}")
     reg = regular_module(ring)
     rows = ring.left_mult_matrix(e.coords)       # rows e * b_j
@@ -175,8 +173,10 @@ def end_algebra(p_mod: RightModule, projective: bool = False,
     mat(s*t) = mat(t) @ mat(s).  For projective P the radical is
     attached as {f : im f <= rad P}.
     """
-    if "end_data" in p_mod._cache:
-        return p_mod._cache["end_data"]
+    return memo(p_mod._cache, "end_data", lambda: _end_data(p_mod, projective, name))
+
+
+def _end_data(p_mod: RightModule, projective: bool, name: str | None) -> EndData:
     p = p_mod.p
     homs = hom_space_matrices(p_mod, p_mod)
     k = homs.shape[0]
@@ -198,9 +198,7 @@ def end_algebra(p_mod: RightModule, projective: bool = False,
         if not ideal.is_two_sided():
             raise ValueError("attached End-radical is not a two-sided ideal")
         ideal.nilpotency_index()
-    data = EndData(alg, homs, None)
-    p_mod._cache["end_data"] = data
-    return data
+    return EndData(alg, homs, None)
 
 
 def _certify_bridge(end_data: EndData, target: FiniteAlgebra, phi_mats, p):
@@ -331,10 +329,6 @@ def transport_hom(tr_src: TransportedModule, tr_tgt: TransportedModule,
     return ModuleHom(tr_src.image, tr_tgt.image, coords)
 
 
-def transport_endo(tr: TransportedModule, f: ModuleHom) -> ModuleHom:
-    return transport_hom(tr, tr, f)
-
-
 def transport_witness(tr: TransportedModule, w: WitnessRecord) -> WitnessRecord:
     """Push a test datum through the functor and re-evaluate it natively.
 
@@ -346,7 +340,7 @@ def transport_witness(tr: TransportedModule, w: WitnessRecord) -> WitnessRecord:
     p = tr.image.p
     a_t = transport_submodule(tr, w.decomposition.a)
     b_t = transport_submodule(tr, w.decomposition.b)
-    idem_t = transport_endo(tr, w.decomposition.idempotent)
+    idem_t = transport_hom(tr, tr, w.decomposition.idempotent)
     dec_t = Decomposition(tr.image, a_t, b_t, idem_t)
 
     a_abs_t = a_t.as_module()
@@ -389,54 +383,22 @@ def build_progenerator(ring: FiniteAlgebra, realization) -> Progenerator:
     """
     kind = realization[0]
     if kind == "matrix":
-        key = ("progenerator", "matrix", int(realization[1]))
-        if key not in ring._cache:
-            prog = free_progenerator(ring, int(realization[1]))
-            certified_matrix_iso(ring, int(realization[1]), prog)
-            ring._cache[key] = prog
-        return ring._cache[key]
+        n = int(realization[1])
+
+        def certified():
+            prog = free_progenerator(ring, n)
+            certified_matrix_iso(ring, n, prog)
+            return prog
+        return memo(ring._cache, ("progenerator", "matrix", n), certified)
     if kind == "corner":
         e = linalg.as_gf(realization[1], ring.p)
-        key = ("progenerator", "corner", e.tobytes())
-        if key not in ring._cache:
+
+        def certified():
             prog = corner_progenerator(ring, e)
             certified_corner_iso(ring, prog)
-            ring._cache[key] = prog
-        return ring._cache[key]
+            return prog
+        return memo(ring._cache, ("progenerator", "corner", e.tobytes()), certified)
     raise ValueError(f"unknown realization {realization!r}")
-
-
-def _serialize_value(v):
-    if isinstance(v, float) and v == float("inf"):
-        return "infinity"
-    return v
-
-
-CONDITION_NAMES = ("C4", "C4star", "swCS", "strong", "iota")
-
-
-def evaluate_condition(m: RightModule, condition, rule_id: str, guards: Guards):
-    if condition == "C4":
-        return is_c4(m, rule_id, guards)
-    if condition == "C4star":
-        return is_c4star(m, rule_id, guards)
-    if condition == "swCS":
-        return is_semiweak_cs(m, "submodule", guards)
-    if condition == "strong":
-        return is_strongly_c4star(m, rule_id, guards)
-    if condition == "iota":
-        return obstruction_index(m, "submodule", guards)
-    if isinstance(condition, tuple) and condition[0] == "ext":
-        _, arity, depth, strict = condition
-        return check_extended(m, arity, depth, strict, rule_id, guards)
-    raise ValueError(f"unknown condition {condition!r}")
-
-
-def condition_label(condition) -> str:
-    if isinstance(condition, tuple):
-        _, arity, depth, strict = condition
-        return f"ext:{arity}:{depth}:{'strict' if strict else 'nonstrict'}"
-    return condition
 
 
 def morita_pair_check(ring: FiniteAlgebra, realization, m: RightModule,
@@ -458,8 +420,8 @@ def morita_pair_check(ring: FiniteAlgebra, realization, m: RightModule,
             violations += 1
         rows.append({
             "condition": condition_label(condition),
-            "value_on_M": _serialize_value(val_m),
-            "value_on_FM": _serialize_value(val_f),
+            "value_on_M": serialize_value(val_m),
+            "value_on_FM": serialize_value(val_f),
             "agreement": agree,
         })
     return {
@@ -530,8 +492,8 @@ def defect_bijection_check(prog: Progenerator, m: RightModule,
     native_obs = Counter(pair.shape_key() for pair in dst_obs)
     report["multiset_obs_swcs"] = mapped_obs == native_obs
 
-    report["iota_source"] = _serialize_value(obstruction_index(m, "submodule", guards))
-    report["iota_image"] = _serialize_value(obstruction_index(fm, "submodule", guards))
+    report["iota_source"] = serialize_value(obstruction_index(m, "submodule", guards))
+    report["iota_image"] = serialize_value(obstruction_index(fm, "submodule", guards))
     report["iota_agrees"] = report["iota_source"] == report["iota_image"]
 
     report["ok"] = (all(report["emptiness"].values())

@@ -12,21 +12,13 @@ import json
 
 import numpy as np
 
-from .conditions import DefectReport, INFINITY
+from .conditions import DefectReport, serialize_value
 from .guards import Guards
 
 
 def _rows(arr) -> list:
     a = np.asarray(arr)
     return [[int(v) for v in row] for row in a]
-
-
-def _serialize_iota(value):
-    if value is None:
-        return None
-    if value == INFINITY:
-        return "infinity"
-    return int(value)
 
 
 def _witness_sample(rec) -> dict:
@@ -79,7 +71,7 @@ def defect_report_dict(report: DefectReport, guards: Guards,
                 "minimal": pair.minimal,
             } for pair in report.obs],
         },
-        "obstruction_index": _serialize_iota(report.obstruction_index),
+        "obstruction_index": serialize_value(report.obstruction_index),
         "extensions": [{
             "m": cell["m"], "d": cell["d"], "strict": cell["strict"],
             "flags": cell["flags"],
@@ -109,7 +101,7 @@ def render_defect_report(report: DefectReport) -> str:
     lines.append(f"  def_C4* defects     {len(report.def_c4star)} "
                  f"in {len(report.def_c4star_classes)} shape classes")
     lines.append(f"  swCS obstructions   {len(report.obs)}")
-    lines.append(f"  obstruction index   {_serialize_iota(report.obstruction_index)}")
+    lines.append(f"  obstruction index   {serialize_value(report.obstruction_index)}")
     for cell in report.extensions:
         flags = cell["flags"]
         shown = "unresolved(guard)" if flags is None else \

@@ -15,20 +15,23 @@ import numpy as np
 
 from .algebra import corner_algebra, matrix_algebra
 from .conditions import (
-    INFINITY,
+    DEFAULT_RULE_ID,
     check_extended,
     decompose_strong,
+    evaluate_condition,
     is_c4,
     is_c4_m,
     is_c4star,
     is_semiweak_cs,
     is_strongly_c4star,
     obstruction_index,
+    serialize_value,
 )
 from .corpus import corpus_builtin, corpus_rings
 from .guards import Guards, DEFAULT_GUARDS, GuardExceeded, TheoremViolation
 from .modules import (
     all_submodules,
+    classical_predicates,
     composition_length,
     direct_sum,
     essential_oracle,
@@ -36,7 +39,6 @@ from .modules import (
     is_essential,
     is_orthogonal,
     is_semisimple,
-    is_summand,
     is_summand_square_free,
     regular_module,
     socle,
@@ -45,6 +47,7 @@ from .morita import (
     apply_functor,
     build_progenerator,
     defect_bijection_check,
+    end_algebra,
     morita_pair_check,
     transport_property_check,
 )
@@ -55,36 +58,63 @@ def _record(name, ok, detail=""):
     return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
 
 
-def _partial(name, reason):
-    return {"name": name, "status": "partial", "detail": reason}
+def run_check(name, check) -> list:
+    """The records check() yields; a guard hit ends them with one
+    partial record under the given name."""
+    records = []
+    try:
+        for record in check():
+            records.append(record)
+    except GuardExceeded as exc:
+        records.append({"name": name, "status": "partial", "detail": str(exc)})
+    return records
 
 
 # ---------------------------------------------------------------------------
 # realizations shared by the transport criteria
 # ---------------------------------------------------------------------------
 
-def matrix_side(entry, guards: Guards):
-    """The free-power transport of a corpus module (P = R^2)."""
-    prog = build_progenerator(entry.ring, ("matrix", 2))
-    return prog, apply_functor(prog, entry.module)
-
-
 def block_idempotent_coords(ring, mat_prog):
     """Coordinates of E11 (x) 1 inside End(R^2), via the certified bridge."""
-    bridge = mat_prog.module._cache["end_data"].certified_iso
+    bridge = end_algebra(mat_prog.module, projective=True).certified_iso
     rows = bridge["coords"][0:ring.dim]
     return (ring.one.reshape(1, -1) @ rows % ring.p)[0]
 
 
-def corner_side(entry, guards: Guards):
-    """The full-corner transport: move the module to the matrix side
-    first, then apply the corner progenerator at the block idempotent."""
+SIDES = ("matrix", "corner")
+
+
+def transport_side(entry, kind):
+    """(realization, the module it transports) for one side of a corpus
+    module: P = R^2 on the module itself, or the full corner, which moves
+    the module to the matrix side first and then applies the corner
+    progenerator at the block idempotent."""
+    if kind == "matrix":
+        return ("matrix", 2), entry.module
     mat_prog = build_progenerator(entry.ring, ("matrix", 2))
-    middle = apply_functor(mat_prog, entry.module)
-    e_full = block_idempotent_coords(entry.ring, mat_prog)
-    s_alg = middle.image.ring
-    corner_prog = build_progenerator(s_alg, ("corner", e_full))
-    return corner_prog, middle, apply_functor(corner_prog, middle.image)
+    middle = apply_functor(mat_prog, entry.module).image
+    return ("corner", block_idempotent_coords(entry.ring, mat_prog)), middle
+
+
+def _each_entry(tag, records):
+    """records(entry) for every corpus module, each one check named
+    tag:module."""
+    results = []
+    for entry in corpus_builtin():
+        results.extend(run_check(f"{tag}:{entry.name}", lambda: records(entry)))
+    return results
+
+
+def _each_side(tag, records):
+    """records(name, realization, module) on both sides of every corpus
+    module, each side one check named tag:side:module."""
+    results = []
+    for entry in corpus_builtin():
+        for kind in SIDES:
+            name = f"{tag}:{kind}:{entry.name}"
+            results.extend(run_check(
+                name, lambda: records(name, *transport_side(entry, kind))))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -92,22 +122,19 @@ def corner_side(entry, guards: Guards):
 # ---------------------------------------------------------------------------
 
 def criterion_essentiality(guards: Guards = DEFAULT_GUARDS) -> list:
-    results = []
     pairs = 0
-    for entry in corpus_builtin():
+
+    def records(entry):
+        nonlocal pairs
         m = entry.module
-        try:
-            lat = all_submodules(m, guards.max_lattice_vectors)
-        except GuardExceeded as exc:
-            results.append(_partial(f"essential-oracle:{entry.name}", str(exc)))
-            continue
         ok = True
-        for sub in lat.members:
+        for sub in all_submodules(m, guards.max_lattice_vectors).members:
             pairs += 1
             if is_essential(sub, m) != essential_oracle(sub, m, guards.max_lattice_vectors):
                 ok = False
                 break
-        results.append(_record(f"essential-oracle:{entry.name}", ok))
+        return [_record(f"essential-oracle:{entry.name}", ok)]
+    results = _each_entry("essential-oracle", records)
     results.append(_record("essential-oracle:coverage", pairs >= 200,
                            f"{pairs} (N <= M) pairs"))
     return results
@@ -118,78 +145,45 @@ def criterion_essentiality(guards: Guards = DEFAULT_GUARDS) -> list:
 # ---------------------------------------------------------------------------
 
 def criterion_transport_lemmas(guards: Guards = DEFAULT_GUARDS) -> list:
-    results = []
-    for entry in corpus_builtin():
-        try:
-            prog, _ = matrix_side(entry, guards)
-            check = transport_property_check(prog, entry.module, guards)
-            results.append(_record(f"transport:matrix:{entry.name}", check["ok"],
-                                   f"{check['pairs']} submodules"))
-        except GuardExceeded as exc:
-            results.append(_partial(f"transport:matrix:{entry.name}", str(exc)))
-        try:
-            corner_prog, middle, _ = corner_side(entry, guards)
-            check = transport_property_check(corner_prog, middle.image, guards)
-            results.append(_record(f"transport:corner:{entry.name}", check["ok"],
-                                   f"{check['pairs']} submodules"))
-        except GuardExceeded as exc:
-            results.append(_partial(f"transport:corner:{entry.name}", str(exc)))
-    return results
+    def records(name, realization, m):
+        prog = build_progenerator(m.ring, realization)
+        report = transport_property_check(prog, m, guards)
+        return [_record(name, report["ok"], f"{report['pairs']} submodules")]
+    return _each_side("transport", records)
 
 
 # ---------------------------------------------------------------------------
 # criteria 3 and 5: flag invariance under both realizations
 # ---------------------------------------------------------------------------
 
-def _flag_conditions(entry, conditions, tag, guards):
-    results = []
-    try:
-        report = morita_pair_check(entry.ring, ("matrix", 2), entry.module,
-                                   conditions, guards=guards)
-        for row in report["rows"]:
-            results.append(_record(
-                f"{tag}:matrix:{entry.name}:{row['condition']}", row["agreement"],
-                f"M={row['value_on_M']} F(M)={row['value_on_FM']}"))
-    except GuardExceeded as exc:
-        results.append(_partial(f"{tag}:matrix:{entry.name}", str(exc)))
-    try:
-        from .morita import evaluate_condition
-        corner_prog, middle, far = corner_side(entry, guards)
-        for condition in conditions:
-            val_m = evaluate_condition(middle.image, condition, "mono-image-splits", guards)
-            val_f = evaluate_condition(far.image, condition, "mono-image-splits", guards)
-            label = condition if isinstance(condition, str) else "ext"
-            results.append(_record(
-                f"{tag}:corner:{entry.name}:{label}", val_m == val_f,
-                f"M={val_m} F(M)={val_f}"))
-    except GuardExceeded as exc:
-        results.append(_partial(f"{tag}:corner:{entry.name}", str(exc)))
-    return results
+def _flag_conditions(conditions, tag, guards):
+    def records(name, realization, m):
+        report = morita_pair_check(m.ring, realization, m, conditions, guards=guards)
+        return [_record(f"{name}:{row['condition']}", row["agreement"],
+                        f"M={row['value_on_M']} F(M)={row['value_on_FM']}")
+                for row in report["rows"]]
+    return _each_side(tag, records)
 
 
 def criterion_c4_invariance(guards: Guards = DEFAULT_GUARDS) -> list:
-    results = []
-    for entry in corpus_builtin():
-        results.extend(_flag_conditions(entry, ("C4",), "c4-invariance", guards))
+    results = _flag_conditions(("C4",), "c4-invariance", guards)
     negative = [e for e in corpus_builtin() if e.name == "r2.r2_reg+S"]
     for entry in negative:
-        both_false = (not is_c4(entry.module, guards=guards)
-                      and not is_c4(apply_functor(
-                          build_progenerator(entry.ring, ("matrix", 2)),
-                          entry.module).image, guards=guards))
-        results.append(_record("c4-invariance:negative-instance", both_false,
-                               "R+R/(x) non-C4 on both sides"))
+        def check():
+            both_false = (not is_c4(entry.module, guards=guards)
+                          and not is_c4(apply_functor(
+                              build_progenerator(entry.ring, ("matrix", 2)),
+                              entry.module).image, guards=guards))
+            yield _record("c4-invariance:negative-instance", both_false,
+                          "R+R/(x) non-C4 on both sides")
+        results.extend(run_check("c4-invariance:negative-instance", check))
     results.append(_record("c4-invariance:negative-instance-present",
                            len(negative) == 1))
     return results
 
 
 def criterion_condition_invariance(guards: Guards = DEFAULT_GUARDS) -> list:
-    results = []
-    for entry in corpus_builtin():
-        results.extend(_flag_conditions(
-            entry, ("C4star", "swCS", "strong"), "flag-invariance", guards))
-    return results
+    return _flag_conditions(("C4star", "swCS", "strong"), "flag-invariance", guards)
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +191,10 @@ def criterion_condition_invariance(guards: Guards = DEFAULT_GUARDS) -> list:
 # ---------------------------------------------------------------------------
 
 def criterion_defect_classes(guards: Guards = DEFAULT_GUARDS) -> list:
-    results = []
-    for entry in corpus_builtin():
-        try:
-            prog = build_progenerator(entry.ring, ("matrix", 2))
-            report = defect_bijection_check(prog, entry.module, guards=guards)
-            results.append(_record(f"defect-classes:matrix:{entry.name}",
-                                   report["ok"]))
-        except GuardExceeded as exc:
-            results.append(_partial(f"defect-classes:matrix:{entry.name}", str(exc)))
-        try:
-            corner_prog, middle, _ = corner_side(entry, guards)
-            report = defect_bijection_check(corner_prog, middle.image, guards=guards)
-            results.append(_record(f"defect-classes:corner:{entry.name}",
-                                   report["ok"]))
-        except GuardExceeded as exc:
-            results.append(_partial(f"defect-classes:corner:{entry.name}", str(exc)))
-    return results
+    def records(name, realization, m):
+        prog = build_progenerator(m.ring, realization)
+        return [_record(name, defect_bijection_check(prog, m, guards=guards)["ok"])]
+    return _each_side("defect-classes", records)
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +202,17 @@ def criterion_defect_classes(guards: Guards = DEFAULT_GUARDS) -> list:
 # ---------------------------------------------------------------------------
 
 def criterion_obstruction_index(guards: Guards = DEFAULT_GUARDS) -> list:
-    results = []
-    for entry in corpus_builtin():
-        try:
-            prog = build_progenerator(entry.ring, ("matrix", 2))
-            tr = apply_functor(prog, entry.module)
-            same = (obstruction_index(entry.module, guards=guards)
-                    == obstruction_index(tr.image, guards=guards))
-            results.append(_record(f"iota:matrix:{entry.name}", same))
-            corner_prog, middle, far = corner_side(entry, guards)
-            same2 = (obstruction_index(middle.image, guards=guards)
-                     == obstruction_index(far.image, guards=guards))
-            results.append(_record(f"iota:corner:{entry.name}", same2))
-        except GuardExceeded as exc:
-            results.append(_partial(f"iota:{entry.name}", str(exc)))
+    def records(entry):
+        for kind in SIDES:
+            realization, m = transport_side(entry, kind)
+            image = apply_functor(build_progenerator(m.ring, realization), m).image
+            same = (obstruction_index(m, guards=guards)
+                    == obstruction_index(image, guards=guards))
+            yield _record(f"iota:{kind}:{entry.name}", same)
+    results = _each_entry("iota", records)
     # regular modules of R, of M2(R), and of the block corner of M2(R)
     for key, ring in corpus_rings().items():
-        try:
+        def check():
             reg = regular_module(ring)
             iota_r = obstruction_index(reg, guards=guards)
             target = matrix_algebra(ring, 2)
@@ -245,13 +220,12 @@ def criterion_obstruction_index(guards: Guards = DEFAULT_GUARDS) -> list:
             e_coords[: ring.dim] = ring.one
             corner = corner_algebra(target, target.element(e_coords))
             iota_c = obstruction_index(regular_module(corner.algebra), guards=guards)
-            results.append(_record(f"iota:ring-corner:{key}", iota_r == iota_c,
-                                   f"R:{iota_r} corner:{iota_c}"))
+            yield _record(f"iota:ring-corner:{key}", iota_r == iota_c,
+                          f"R:{iota_r} corner:{iota_c}")
             iota_m = obstruction_index(regular_module(target), guards=guards)
-            results.append(_record(f"iota:ring-matrix:{key}", iota_r == iota_m,
-                                   f"R:{iota_r} M2(R):{iota_m}"))
-        except GuardExceeded as exc:
-            results.append(_partial(f"iota:ring:{key}", str(exc)))
+            yield _record(f"iota:ring-matrix:{key}", iota_r == iota_m,
+                          f"R:{iota_r} M2(R):{iota_m}")
+        results.extend(run_check(f"iota:ring:{key}", check))
     return results
 
 
@@ -260,12 +234,12 @@ def criterion_obstruction_index(guards: Guards = DEFAULT_GUARDS) -> list:
 # ---------------------------------------------------------------------------
 
 def criterion_strong_decomposition(guards: Guards = DEFAULT_GUARDS) -> list:
-    results = []
-    for entry in corpus_builtin():
+    def records(entry):
         m = entry.module
+        name = f"strong-decomposition:{entry.name}"
         try:
             if not is_strongly_c4star(m, guards=guards):
-                continue
+                return []
             p_part, q_part = decompose_strong(m, guards=guards)
             p_mod, q_mod = p_part.as_module(), q_part.as_module()
             clauses = (
@@ -275,15 +249,11 @@ def criterion_strong_decomposition(guards: Guards = DEFAULT_GUARDS) -> list:
                 is_orthogonal(p_mod, q_mod, guards.max_lattice_vectors),
                 hom_vanishes(p_mod, q_mod),
             )
-            results.append(_record(
-                f"strong-decomposition:{entry.name}", all(clauses),
-                f"dims ({p_part.dim},{q_part.dim}), clauses {clauses}"))
         except TheoremViolation as exc:
-            results.append(_record(f"strong-decomposition:{entry.name}", False,
-                                   str(exc)))
-        except GuardExceeded as exc:
-            results.append(_partial(f"strong-decomposition:{entry.name}", str(exc)))
-    return results
+            return [_record(name, False, str(exc))]
+        return [_record(name, all(clauses),
+                        f"dims ({p_part.dim},{q_part.dim}), clauses {clauses}")]
+    return _each_entry("strong-decomposition", records)
 
 
 # ---------------------------------------------------------------------------
@@ -291,26 +261,25 @@ def criterion_strong_decomposition(guards: Guards = DEFAULT_GUARDS) -> list:
 # ---------------------------------------------------------------------------
 
 def criterion_example_schemes(guards: Guards = DEFAULT_GUARDS) -> list:
-    results = []
     ssf_ok, weak_ok, trip_ok = True, True, True
-    for entry in corpus_builtin():
+
+    def records(entry):
+        nonlocal ssf_ok, weak_ok, trip_ok
         m = entry.module
-        try:
-            if is_summand_square_free(m, guards.max_end_enumeration,
-                                      guards.max_iso_search, guards.rng_seed):
-                if not is_semiweak_cs(m, "submodule", guards):
-                    ssf_ok = False
-            from .modules import classical_predicates
-            if classical_predicates(m, guards.max_lattice_vectors,
-                                    guards.max_end_enumeration,
-                                    guards.max_iso_search,
-                                    guards.rng_seed)["weak_CS"]:
-                if not is_semiweak_cs(m, "submodule", guards):
-                    weak_ok = False
-            if not is_semiweak_cs(m, "literal-summand", guards):
-                trip_ok = False
-        except GuardExceeded as exc:
-            results.append(_partial(f"example-schemes:{entry.name}", str(exc)))
+        if is_summand_square_free(m, guards.max_end_enumeration,
+                                  guards.max_iso_search, guards.rng_seed):
+            if not is_semiweak_cs(m, "submodule", guards):
+                ssf_ok = False
+        if classical_predicates(m, guards.max_lattice_vectors,
+                                guards.max_end_enumeration,
+                                guards.max_iso_search,
+                                guards.rng_seed)["weak_CS"]:
+            if not is_semiweak_cs(m, "submodule", guards):
+                weak_ok = False
+        if not is_semiweak_cs(m, "literal-summand", guards):
+            trip_ok = False
+        return []
+    results = _each_entry("example-schemes", records)
     results.append(_record("example-schemes:ssf-implies-swcs", ssf_ok))
     results.append(_record("example-schemes:weakcs-implies-swcs", weak_ok))
     results.append(_record("example-schemes:literal-summand-tripwire", trip_ok))
@@ -322,36 +291,29 @@ def criterion_example_schemes(guards: Guards = DEFAULT_GUARDS) -> list:
 # ---------------------------------------------------------------------------
 
 def criterion_extension_coherence(guards: Guards = DEFAULT_GUARDS) -> list:
-    results = []
-    for entry in corpus_builtin():
+    def coherence(entry):
         m = entry.module
-        try:
-            results.append(_record(
-                f"extension:arity2-reduces:{entry.name}",
-                is_c4_m(m, 2, guards=guards) == is_c4(m, guards=guards)))
-            agree = all(
-                check_extended(m, 2, d, strict=False, guards=guards)["C4star_d"]
-                == is_c4star(m, guards=guards)
-                for d in (1, 2, 3))
-            results.append(_record(
-                f"extension:nonstrict-depth-reduces:{entry.name}", agree))
-        except GuardExceeded as exc:
-            results.append(_partial(f"extension:coherence:{entry.name}", str(exc)))
-    for entry in corpus_builtin():
-        try:
-            prog = build_progenerator(entry.ring, ("matrix", 2))
-            tr = apply_functor(prog, entry.module)
-            for arity, depth in ((2, 1), (2, 2), (3, 1), (3, 2)):
-                src = check_extended(entry.module, arity, depth, strict=True,
-                                     guards=guards)
-                dst = check_extended(tr.image, arity, depth, strict=True,
-                                     guards=guards)
-                results.append(_record(
-                    f"extension:transfer:{entry.name}:m{arity}d{depth}",
-                    src == dst))
-        except GuardExceeded as exc:
-            results.append(_partial(f"extension:transfer:{entry.name}", str(exc)))
-    return results
+        yield _record(
+            f"extension:arity2-reduces:{entry.name}",
+            is_c4_m(m, 2, guards=guards) == is_c4(m, guards=guards))
+        agree = all(
+            check_extended(m, 2, d, strict=False, guards=guards)["C4star_d"]
+            == is_c4star(m, guards=guards)
+            for d in (1, 2, 3))
+        yield _record(f"extension:nonstrict-depth-reduces:{entry.name}", agree)
+
+    def transfer(entry):
+        prog = build_progenerator(entry.ring, ("matrix", 2))
+        tr = apply_functor(prog, entry.module)
+        for arity, depth in ((2, 1), (2, 2), (3, 1), (3, 2)):
+            src = check_extended(entry.module, arity, depth, strict=True,
+                                 guards=guards)
+            dst = check_extended(tr.image, arity, depth, strict=True,
+                                 guards=guards)
+            yield _record(f"extension:transfer:{entry.name}:m{arity}d{depth}",
+                          src == dst)
+    return (_each_entry("extension:coherence", coherence)
+            + _each_entry("extension:transfer", transfer))
 
 
 # ---------------------------------------------------------------------------
@@ -361,43 +323,20 @@ def criterion_extension_coherence(guards: Guards = DEFAULT_GUARDS) -> list:
 def criterion_ring_level(guards: Guards = DEFAULT_GUARDS) -> list:
     results = []
     for key in ("f2", "r2", "t2", "m2"):
-        ring = corpus_rings()[key]
-        reg = regular_module(ring)
-        try:
+        def check():
+            reg = regular_module(corpus_rings()[key])
             lat = all_submodules(reg, guards.max_lattice_vectors)
             scan = all(is_c4(sub.as_module(), guards=guards) for sub in lat.members)
             star = is_c4star(reg, guards=guards)
-            results.append(_record(f"ring-level:{key}", scan == star,
-                                   f"ideal-scan {scan}, def_C4star verdict {star}"))
-        except GuardExceeded as exc:
-            results.append(_partial(f"ring-level:{key}", str(exc)))
+            yield _record(f"ring-level:{key}", scan == star,
+                          f"ideal-scan {scan}, def_C4star verdict {star}")
+        results.extend(run_check(f"ring-level:{key}", check))
     return results
 
 
 # ---------------------------------------------------------------------------
 # corpus expectations and local invariants
 # ---------------------------------------------------------------------------
-
-def _evaluate_expectation(entry, flag, guards: Guards):
-    m = entry.module
-    if flag == "C4":
-        return is_c4(m, guards=guards)
-    if flag == "C4star":
-        return is_c4star(m, guards=guards)
-    if flag == "swCS":
-        return is_semiweak_cs(m, "submodule", guards)
-    if flag == "strong":
-        return is_strongly_c4star(m, guards=guards)
-    if flag == "semisimple":
-        return is_semisimple(m)
-    if flag == "summand_square_free":
-        return is_summand_square_free(m, guards.max_end_enumeration,
-                                      guards.max_iso_search, guards.rng_seed)
-    if flag == "iota":
-        value = obstruction_index(m, guards=guards)
-        return "infinity" if value == INFINITY else value
-    raise ValueError(f"unknown expectation flag {flag!r}")
-
 
 def corpus_expectation_checks(guards: Guards = DEFAULT_GUARDS,
                               entries=None) -> list:
@@ -406,51 +345,47 @@ def corpus_expectation_checks(guards: Guards = DEFAULT_GUARDS,
         entries = corpus_builtin()
     for entry in entries:
         for flag, expectation in entry.expected.items():
-            try:
-                actual = _evaluate_expectation(entry, flag, guards)
-                results.append(_record(
-                    f"corpus:{entry.name}:{flag}", actual == expectation.value,
-                    f"expected {expectation.value} [{expectation.provenance}], "
-                    f"got {actual}"))
-            except GuardExceeded as exc:
-                results.append(_partial(f"corpus:{entry.name}:{flag}", str(exc)))
+            name = f"corpus:{entry.name}:{flag}"
+
+            def check():
+                actual = serialize_value(evaluate_condition(
+                    entry.module, flag, DEFAULT_RULE_ID, guards))
+                yield _record(name, actual == expectation.value,
+                              f"expected {expectation.value} "
+                              f"[{expectation.provenance}], got {actual}")
+            results.extend(run_check(name, check))
     return results
 
 
 def structural_invariant_checks(guards: Guards = DEFAULT_GUARDS) -> list:
-    results = []
-    for entry in corpus_builtin():
+    def records(entry):
         m = entry.module
         name = entry.name
-        try:
-            lat = all_submodules(m, guards.max_lattice_vectors)
-            # socle = sum of the minimal lattice members
-            minimal = lat.minimal_members()
-            if minimal:
-                joined = minimal[0].basis
-                for piece in minimal[1:]:
-                    joined = linalg.sum_rows(joined, piece.basis, m.p)
-                soc_ok = np.array_equal(socle(m).basis, joined)
-            else:
-                soc_ok = socle(m).dim == 0
-            results.append(_record(f"invariant:socle-minimal-sum:{name}", soc_ok))
-            # length additivity over a direct sum with itself
-            doubled, _, _ = direct_sum(m, m)
-            results.append(_record(
-                f"invariant:length-additive:{name}",
-                composition_length(doubled) == 2 * composition_length(m)))
-            # semisimple modules satisfy the whole classical block
-            if is_semisimple(m):
-                from .modules import classical_predicates
-                preds = classical_predicates(m, guards.max_lattice_vectors,
-                                             guards.max_end_enumeration,
-                                             guards.max_iso_search, guards.rng_seed)
-                results.append(_record(
-                    f"invariant:semisimple-classical:{name}",
-                    all(preds[k] for k in ("C2", "C3", "CS", "weak_CS"))))
-        except GuardExceeded as exc:
-            results.append(_partial(f"invariant:{name}", str(exc)))
-    return results
+        lat = all_submodules(m, guards.max_lattice_vectors)
+        # socle = sum of the minimal lattice members
+        minimal = lat.minimal_members()
+        if minimal:
+            joined = minimal[0].basis
+            for piece in minimal[1:]:
+                joined = linalg.sum_rows(joined, piece.basis, m.p)
+            soc_ok = np.array_equal(socle(m).basis, joined)
+        else:
+            soc_ok = socle(m).dim == 0
+        yield _record(f"invariant:socle-minimal-sum:{name}", soc_ok)
+        # length additivity over a direct sum with itself
+        doubled, _, _ = direct_sum(m, m)
+        yield _record(
+            f"invariant:length-additive:{name}",
+            composition_length(doubled) == 2 * composition_length(m))
+        # semisimple modules satisfy the whole classical block
+        if is_semisimple(m):
+            preds = classical_predicates(m, guards.max_lattice_vectors,
+                                         guards.max_end_enumeration,
+                                         guards.max_iso_search, guards.rng_seed)
+            yield _record(
+                f"invariant:semisimple-classical:{name}",
+                all(preds[k] for k in ("C2", "C3", "CS", "weak_CS")))
+    return _each_entry("invariant", records)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +417,6 @@ def run_suite(guards: Guards = DEFAULT_GUARDS, name_filter: str = "") -> list:
     if selected:
         for _, family in selected:
             results.extend(family(guards))
-        if name_filter and len(selected) < len(FAMILIES):
-            pass  # family-level filter already applied
     else:
         for _, family in FAMILIES:
             results.extend(r for r in family(guards) if name_filter in r["name"])

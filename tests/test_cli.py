@@ -183,3 +183,36 @@ def test_too_large_prime_is_a_located_input_error(runner, tmp_path):
     assert result.exit_code == 2
     assert result.output == (f"error: {bad}: prime 4294967311 is too large: "
                              "c4lab supports p < 2^31\n")
+
+
+def test_morita_nonstrict_extension_cell(runner, mixed_module_file, tmp_path):
+    out = tmp_path / "cmp.json"
+    result = runner.invoke(main, ["morita", mixed_module_file, "--matrix", "2",
+                                  "--conditions", "ext:3:1:nonstrict",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["condition"] == "ext:3:1:nonstrict"
+    # the whole module R+S starts a non-strict chain and is not C4; a
+    # strict depth-1 chain cannot start at the top of the lattice
+    assert row["value_on_M"]["C4star_d"] is False
+    assert row["agreement"] is True
+
+
+@pytest.mark.parametrize("conditions, bad", [
+    ("ext:3", "'ext:3'"),
+    ("C4,bogus", "'bogus'"),
+    ("ext:3:1:loose", "'ext:3:1:loose'"),
+])
+def test_morita_rejects_bad_conditions_before_computing(
+        runner, mixed_module_file, monkeypatch, conditions, bad):
+    from c4lab import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("conditions must be validated before any check runs")
+    monkeypatch.setattr(cli, "morita_pair_check", never)
+    result = runner.invoke(main, ["morita", mixed_module_file, "--matrix", "2",
+                                  "--conditions", conditions])
+    assert result.exit_code == 2
+    assert result.output.startswith(f"error: --conditions: unknown condition {bad}")
+    assert result.output.count("\n") == 1

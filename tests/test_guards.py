@@ -1,0 +1,71 @@
+import pytest
+
+from c4lab.algebra import (
+    field_algebra,
+    idempotents,
+    jacobson_radical,
+    matrix_algebra,
+    poly_quotient_algebra,
+)
+from c4lab.conditions import def_c4, enumerate_decompositions, summand_list
+from c4lab.corpus import simple_modules
+from c4lab.guards import DEFAULT_GUARDS, GuardExceeded, Guards, memo
+from c4lab.modules import all_submodules, direct_sum, regular_module
+
+TIGHT = Guards(1, 1, 1, 1, 1)
+
+
+def test_memo_checks_the_guard_before_the_cache():
+    cache = {}
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return "value"
+    assert memo(cache, "k", compute, guard=("scan", 4, 4)) == "value"
+    assert memo(cache, "k", compute) == "value"
+    assert len(calls) == 1
+    with pytest.raises(GuardExceeded, match="scan: needs 4 > bound 3"):
+        memo(cache, "k", compute, guard=("scan", 4, 3))
+
+
+def _m2():
+    return matrix_algebra(field_algebra(2), 2)
+
+
+def _r2_plus_simple():
+    r2 = poly_quotient_algebra(2, [0, 0, 1])
+    out, _, _ = direct_sum(regular_module(r2), simple_modules(r2)[0], name="R+S")
+    return out
+
+
+# (object, call under the default guards, the same call with a bound of 1)
+GUARDED = {
+    "all_element_rows": (_m2, lambda a: a.all_element_rows(),
+                         lambda a: a.all_element_rows(guard=1)),
+    "unit_table": (_m2, lambda a: a.unit_table(), lambda a: a.unit_table(guard=1)),
+    "idempotents": (_m2, idempotents, lambda a: idempotents(a, guard=1)),
+    "jacobson_radical": (lambda: poly_quotient_algebra(2, [0, 0, 1]), jacobson_radical,
+                         lambda a: jacobson_radical(a, guard=1)),
+    "all_submodules": (_r2_plus_simple, all_submodules, lambda m: all_submodules(m, 1)),
+    "enumerate_decompositions": (_r2_plus_simple, enumerate_decompositions,
+                                 lambda m: enumerate_decompositions(m, 1)),
+    "summand_list": (_r2_plus_simple, summand_list, lambda m: summand_list(m, 1)),
+    "def_c4": (_r2_plus_simple, lambda m: def_c4(m, guards=DEFAULT_GUARDS),
+               lambda m: def_c4(m, guards=TIGHT)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_cached_result_does_not_bypass_a_smaller_guard(name):
+    make, warm, tight = GUARDED[name]
+    obj = make()
+    warm(obj)
+    with pytest.raises(GuardExceeded):
+        tight(obj)
+
+
+def test_known_radical_answers_above_the_bound():
+    m2 = _m2()
+    assert jacobson_radical(m2, guard=1).dim == 0
+    assert jacobson_radical(m2, guard=1).dim == 0

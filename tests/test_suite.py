@@ -67,3 +67,15 @@ def test_suite_report_round_trip(tmp_path):
     write_structured(str(path2), suite_report_dict(
         run_suite(DEFAULT_GUARDS, "ring-level"), DEFAULT_GUARDS))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_tiny_guards_leave_every_family_partial_not_raising():
+    results = run_suite(Guards(1, 1, 1, 1, 1))
+    prefixes = {r["name"].split(":")[0] for r in results}
+    assert prefixes == {
+        "essential-oracle", "corpus", "invariant", "transport", "c4-invariance",
+        "defect-classes", "flag-invariance", "iota", "strong-decomposition",
+        "example-schemes", "extension", "ring-level"}
+    negative = [r for r in results if r["name"] == "c4-invariance:negative-instance"]
+    assert [r["status"] for r in negative] == ["partial"]
+    assert "bound 1" in negative[0]["detail"]
