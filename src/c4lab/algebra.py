@@ -100,11 +100,11 @@ class FiniteAlgebra:
             raise ValueError(
                 f"associativity fails at basis triple (i,j,k)=({i},{j},{k})")
         ident = linalg.eye(self.dim)
-        one_left = np.einsum("i,ijk->jk", self.one, sc) % p
+        one_left = linalg.combine(self.one, sc, p)
         if not np.array_equal(one_left, ident):
             j = int(np.argwhere(np.any(one_left != ident, axis=1))[0, 0])
             raise ValueError(f"identity fails on the left at basis element {j}")
-        one_right = np.einsum("j,ijk->ik", self.one, sc) % p
+        one_right = linalg.combine(self.one, sc.transpose(1, 0, 2), p)
         if not np.array_equal(one_right, ident):
             i = int(np.argwhere(np.any(one_right != ident, axis=1))[0, 0])
             raise ValueError(f"identity fails on the right at basis element {i}")
@@ -126,19 +126,17 @@ class FiniteAlgebra:
         return self.element(coords)
 
     def mul_coords(self, x, y) -> np.ndarray:
-        x = linalg.as_gf(x, self.p)
-        y = linalg.as_gf(y, self.p)
-        return np.einsum("i,j,ijk->k", x, y, self.sc) % self.p
+        """Coordinates of x*y, which is y @ left_mult_matrix(x)."""
+        return linalg.matmul_mod(linalg.as_gf(y, self.p), self.left_mult_matrix(x), self.p)
 
     def left_mult_matrix(self, coords) -> np.ndarray:
         """Row-convention matrix of v -> a*v (row j is a*b_j)."""
-        a = linalg.as_gf(coords, self.p)
-        return np.einsum("i,ijk->jk", a, self.sc) % self.p
+        return linalg.combine(linalg.as_gf(coords, self.p), self.sc, self.p)
 
     def right_mult_matrix(self, coords) -> np.ndarray:
         """Row-convention matrix of v -> v*a (row i is b_i*a)."""
-        a = linalg.as_gf(coords, self.p)
-        return np.einsum("j,ijk->ik", a, self.sc) % self.p
+        return linalg.combine(linalg.as_gf(coords, self.p), self.right_regular_stack(),
+                              self.p)
 
     def right_regular_stack(self) -> np.ndarray:
         """Action matrices of the regular module: stack[j] = rho(b_j)."""
@@ -197,7 +195,7 @@ class FiniteAlgebra:
         rows = self.all_element_rows(guard)
 
         def table():
-            lmats = np.einsum("ni,ijk->njk", rows, self.sc) % self.p
+            lmats = linalg.combine(rows, self.sc, self.p)
             units = np.zeros(rows.shape[0], dtype=bool)
             for idx in range(rows.shape[0]):
                 units[idx] = linalg.rank(lmats[idx], self.p) == self.dim
@@ -283,8 +281,8 @@ class IdealBasis:
         if self.dim == 0:
             return True
         for i in range(A.dim):
-            left = self.basis @ A.left_mult_matrix(linalg.eye(A.dim)[i]) % p
-            right = self.basis @ A.right_mult_matrix(linalg.eye(A.dim)[i]) % p
+            left = linalg.matmul_mod(self.basis, A.left_mult_matrix(linalg.eye(A.dim)[i]), p)
+            right = linalg.matmul_mod(self.basis, A.right_mult_matrix(linalg.eye(A.dim)[i]), p)
             if not (linalg.in_row_space(left, self.basis, p)
                     and linalg.in_row_space(right, self.basis, p)):
                 return False
@@ -298,12 +296,9 @@ class IdealBasis:
         while current.shape[0] > 0:
             if k > A.dim + 1:
                 raise ValueError("ideal is not nilpotent")
-            prods = []
-            for u in current:
-                for v in self.basis:
-                    prods.append(A.mul_coords(u, v))
-            current = linalg.row_space(np.array(prods, dtype=np.int64).reshape(-1, A.dim), p) \
-                if prods else linalg.zeros(0, A.dim)
+            # prods[u, v] = v @ left_mult(u) = u*v
+            prods = linalg.matmul_mod(self.basis, A.left_mult_matrix(current), p)
+            current = linalg.row_space(prods.reshape(-1, A.dim), p)
             k += 1
         return k - 1
 
@@ -451,13 +446,13 @@ def corner_algebra(a: FiniteAlgebra, e: AlgebraElement) -> CornerAlgebra:
     if not np.any(e.coords):
         raise ValueError("corner at e = 0 is not an algebra")
     p = a.p
-    ebi = np.einsum("m,mik->ik", e.coords, a.sc) % p          # rows e*b_i
-    ebie = ebi @ a.right_mult_matrix(e.coords) % p            # rows e*b_i*e
+    ebi = a.left_mult_matrix(e.coords)                                  # rows e*b_i
+    ebie = linalg.matmul_mod(ebi, a.right_mult_matrix(e.coords), p)    # rows e*b_i*e
     basis = linalg.row_space(ebie, p)
     k = basis.shape[0]
     sc = np.zeros((k, k, k), dtype=np.int64)
     for r in range(k):
-        prods = np.array([a.mul_coords(basis[r], basis[s]) for s in range(k)])
+        prods = linalg.matmul_mod(basis, a.left_mult_matrix(basis[r]), p)
         coeffs = linalg.solve_left_many(basis, prods, p)
         if coeffs is None:
             raise ValueError("corner basis not multiplicatively closed")
@@ -467,8 +462,8 @@ def corner_algebra(a: FiniteAlgebra, e: AlgebraElement) -> CornerAlgebra:
         raise ValueError("corner identity e not in corner span")
     rad_a = jacobson_radical(a).basis
     if rad_a.shape[0]:
-        le = np.einsum("m,nj,mjk->nk", e.coords, rad_a, a.sc) % p
-        eje = le @ a.right_mult_matrix(e.coords) % p
+        le = linalg.matmul_mod(rad_a, ebi, p)                          # rows e*r
+        eje = linalg.matmul_mod(le, a.right_mult_matrix(e.coords), p)
         rad = linalg.solve_left_many(basis, linalg.row_space(eje, p), p)
     else:
         rad = linalg.zeros(0, k)
@@ -486,28 +481,15 @@ def quotient_algebra(a: FiniteAlgebra, ideal: IdealBasis):
     """
     if ideal.parent is not a:
         raise ValueError("ideal does not belong to the given algebra")
-    p = a.p
-    basis = ideal.basis
-    red, piv = linalg.rref(basis, p) if basis.shape[0] else (basis, [])
-    nonpiv = [c for c in range(a.dim) if c not in piv]
+    nonpiv, project = linalg.quotient_projection(ideal.basis, a.p)
     k = len(nonpiv)
     if k == 0:
         raise ValueError("quotient by the whole algebra is not unital")
-
-    def project(rows):
-        rows = linalg.as_gf(rows, p).copy()
-        for r, c in enumerate(piv):
-            rows = (rows - np.outer(rows[:, c], red[r])) % p
-        return rows[:, nonpiv]
-
-    lifts = linalg.eye(a.dim)[nonpiv]
-    sc = np.zeros((k, k, k), dtype=np.int64)
-    for i in range(k):
-        prods = np.array([a.mul_coords(lifts[i], lifts[j]) for j in range(k)])
-        sc[i] = project(prods)
+    # the products of the lifted basis vectors b_i, b_j (i, j non-pivot)
+    sc = project(a.sc[np.ix_(nonpiv, nonpiv)].reshape(k * k, a.dim)).reshape(k, k, k)
     one = project(a.one.reshape(1, -1))[0]
     labels = tuple(f"{a.labels[c]}~" for c in nonpiv)
-    quot = FiniteAlgebra(p, k, labels, sc, one, name=f"{a.name}/rad")
+    quot = FiniteAlgebra(a.p, k, labels, sc, one, name=f"{a.name}/rad")
     return quot, project
 
 
@@ -534,15 +516,13 @@ def _radical(a: FiniteAlgebra, guard: int) -> IdealBasis:
     else:
         rows = a.all_element_rows(guard)
         units = a.unit_table(guard)
-        pvec = np.array([a.p ** (a.dim - 1 - i) for i in range(a.dim)], dtype=np.int64)
         members = []
         for idx in range(rows.shape[0]):
             if units[idx]:
                 continue  # units are never quasi-regular absorbers
             x = rows[idx]
-            prods = rows @ a.left_mult_matrix(x) % a.p   # all x*r
-            test = (a.one - prods) % a.p
-            codes = test @ pvec
+            prods = linalg.matmul_mod(rows, a.left_mult_matrix(x), a.p)   # all x*r
+            codes = linalg.encode_codes((a.one - prods) % a.p, a.p)
             if bool(units[codes].all()):
                 members.append(x)
         basis = linalg.row_space(np.array(members, dtype=np.int64).reshape(-1, a.dim), a.p) \
@@ -559,7 +539,8 @@ def idempotents(a: FiniteAlgebra, guard: int = 2 ** 20) -> list[AlgebraElement]:
     def scan():
         found = []
         for _, coeffs in linalg.coeff_blocks(n, a.dim, a.p):
-            sq = np.einsum("ni,nj,ijk->nk", coeffs, coeffs, a.sc) % a.p
+            lmats = linalg.combine(coeffs, a.sc, a.p)
+            sq = linalg.matmul_mod(coeffs[:, None, :], lmats, a.p)[:, 0, :]
             mask = np.all(sq == coeffs, axis=1)
             for row in coeffs[mask]:
                 found.append(a.element(row))
@@ -579,6 +560,6 @@ def idempotent_span_dim(a: FiniteAlgebra, e: AlgebraElement) -> int:
         raise ValueError("idempotent does not belong to the given algebra")
     if not e.is_idempotent():
         raise ValueError("e^2 != e")
-    bie = np.einsum("j,ijk->ik", e.coords, a.sc) % a.p       # rows b_i*e
-    span = np.einsum("im,mjk->ijk", bie, a.sc) % a.p         # (b_i*e)*b_j
+    bie = a.right_mult_matrix(e.coords)                      # rows b_i*e
+    span = linalg.combine(bie, a.sc, a.p)                    # (b_i*e)*b_j
     return linalg.rank(span.reshape(-1, a.dim), a.p)

@@ -13,7 +13,8 @@ from contextlib import contextmanager
 
 import click
 
-from .conditions import CONDITION_NAMES, DEFAULT_RULE_ID, build_defect_report, parse_condition
+from .conditions import (CONDITION_NAMES, DEFAULT_RULE_ID, build_defect_report, ext_cell,
+                         parse_condition)
 from .guards import GuardExceeded, IsoInconclusive
 from .io import InputError, load_guards, parse_module, parse_ring
 from .modules import regular_module
@@ -68,15 +69,19 @@ def _load(path, ring_mode):
 
 
 def _parse_extensions(text):
+    """The (m, d) cells of 'm,d;m,d', checked by the cell rule of --conditions."""
     grid = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
+    for cell in (chunk.strip() for chunk in text.split(";")):
+        if not cell:
             continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise click.BadParameter("extensions must look like 'm,d' or 'm,d;m,d'")
-        grid.append((int(parts[0]), int(parts[1])))
+        try:
+            parts = [part.strip() for part in cell.split(",")]
+            if len(parts) != 2:
+                raise ValueError("expected 'm,d'")
+            _, arity, depth, _ = ext_cell(*parts)
+        except ValueError as exc:
+            raise InputError(f"--extensions: cell {cell!r}: {exc}") from None
+        grid.append((arity, depth))
     return tuple(grid) or ((2, 1),)
 
 
@@ -96,11 +101,11 @@ def _parse_extensions(text):
 def analyze(module_file, ring_mode, extensions, strict_chains, guards_path, out_path):
     """Full defect report for one module (or a ring's regular module)."""
     with _exit_on(InputError, ValueError, GuardExceeded):
+        grid = _parse_extensions(extensions)
         guards = load_guards(guards_path)
         module = _load(module_file, ring_mode)
         report = build_defect_report(
-            module, module_id=module.name, guards=guards,
-            extension_grid=_parse_extensions(extensions),
+            module, module_id=module.name, guards=guards, extension_grid=grid,
             strict_chains=strict_chains, ring_mode=ring_mode)
     click.echo(render_defect_report(report))
     if out_path:

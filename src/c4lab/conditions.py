@@ -59,7 +59,7 @@ class Decomposition:
         if inter.shape[0] or self.a.dim + self.b.dim != self.parent.dim:
             raise ValueError("summands are not complementary")
         e = self.idempotent.matrix
-        if not np.array_equal(e @ e % p, e):
+        if not np.array_equal(linalg.matmul_mod(e, e, p), e):
             raise ValueError("projection is not idempotent")
 
 
@@ -82,8 +82,8 @@ def _end_scan(m: RightModule, homs: np.ndarray, total: int) -> tuple[Decompositi
                                  ModuleHom(m, m, linalg.zeros(0, 0), check=False)))
     else:
         for _, block in linalg.coeff_blocks(total, k, m.p):
-            cands = np.einsum("nk,kab->nab", block, homs) % m.p
-            sq = np.einsum("nab,nbc->nac", cands, cands) % m.p
+            cands = linalg.combine(block, homs, m.p)
+            sq = linalg.matmul_mod(cands, cands, m.p)
             mask = np.all(sq == cands, axis=(1, 2))
             for t in np.nonzero(mask)[0]:
                 e = cands[t]
@@ -217,10 +217,7 @@ def _hom_scan(m: RightModule, decs, rule_id: str) -> tuple[WitnessRecord, ...]:
         k = homs.shape[0]
         total = m.p ** k
         for _, block in linalg.coeff_blocks(total, k, m.p):
-            if k:
-                mats = np.einsum("nk,kab->nab", block, homs) % m.p
-            else:
-                mats = np.zeros((1, a_mod.dim, b_mod.dim), dtype=np.int64)
+            mats = linalg.combine(block, homs, m.p)
             for t in range(mats.shape[0]):
                 f = ModuleHom(a_mod, b_mod, mats[t], check=False)
                 rec = evaluate_witness(m, dec, f, rule_id)
@@ -428,14 +425,6 @@ def decompose_strong(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
 # arity extension
 # ---------------------------------------------------------------------------
 
-def _complement_map(m: RightModule, max_end: int):
-    """summand key -> list of summands B with M = A + B."""
-    comp: dict[bytes, list[Submodule]] = {}
-    for dec in enumerate_decompositions(m, max_end):
-        comp.setdefault(dec.a.key(), []).append(dec.b)
-    return comp
-
-
 def is_c4_m(m: RightModule, arity: int, rule_id: str = DEFAULT_RULE_ID,
             guards: Guards = DEFAULT_GUARDS) -> bool:
     """Chain version: for chains A_1,...,A_arity of summands in which each
@@ -446,16 +435,18 @@ def is_c4_m(m: RightModule, arity: int, rule_id: str = DEFAULT_RULE_ID,
         raise ValueError("arity must be >= 2")
     if arity == 2:
         return is_c4(m, rule_id, guards)
-    enumerate_decompositions(m, guards.max_end_enumeration)
-    return memo(m._cache, ("c4m", arity, rule_id), lambda: _c4_m_scan(m, arity, guards))
+    decs = enumerate_decompositions(m, guards.max_end_enumeration)
+    return memo(m._cache, ("c4m", arity, rule_id),
+                lambda: _c4_m_scan(m, arity, decs, guards))
 
 
-def _c4_m_scan(m: RightModule, arity: int, guards: Guards) -> bool:
-    comp = _complement_map(m, guards.max_end_enumeration)
-    starts = sorted(comp, key=lambda k: k)
-    by_key = {}
-    for dec in enumerate_decompositions(m, guards.max_end_enumeration):
-        by_key.setdefault(dec.a.key(), dec.a)
+def _c4_m_scan(m: RightModule, arity: int, decs, guards: Guards) -> bool:
+    # summand key -> the summand A and every B with M = A + B
+    summand: dict[bytes, Submodule] = {}
+    comp: dict[bytes, list[Submodule]] = {}
+    for dec in decs:
+        summand.setdefault(dec.a.key(), dec.a)
+        comp.setdefault(dec.a.key(), []).append(dec.b)
 
     chains: list[list[Submodule]] = []
 
@@ -470,8 +461,8 @@ def _c4_m_scan(m: RightModule, arity: int, guards: Guards) -> bool:
             extend(chain)
             chain.pop()
 
-    for k in starts:
-        extend([by_key[k]])
+    for key in sorted(summand):
+        extend([summand[key]])
 
     for chain in chains:
         mods = [s.as_module() for s in chain]
@@ -494,17 +485,13 @@ def _chain_ok(m, chain, mods, hom_stacks, dims, total) -> bool:
             mats = []
             pos = 0
             for stack, k in zip(hom_stacks, dims):
-                if k:
-                    mats.append(np.einsum("k,kab->ab", row[pos:pos + k], stack) % p)
-                else:
-                    mats.append(np.zeros((stack.shape[1], stack.shape[2]),
-                                         dtype=np.int64))
+                mats.append(linalg.combine(row[pos:pos + k], stack, p))
                 pos += k
             for i in range(len(mats)):
                 run = mats[i]
                 for j in range(i, len(mats)):
                     if j > i:
-                        run = run @ mats[j] % p
+                        run = linalg.matmul_mod(run, mats[j], p)
                     if linalg.rank(run, p) != mods[i].dim:
                         continue  # not injective, the rule does not fire
                     image = Submodule(m, chain[j + 1].to_parent(run), check=False)
@@ -578,7 +565,7 @@ CONDITIONS = {
 # the conditions transport must preserve: the default comparison list
 CONDITION_NAMES = ("C4", "C4star", "swCS", "strong", "iota")
 
-_EXT_CELL = re.compile(r"ext:([0-9]+):([0-9]+)(?::(strict|nonstrict))?")
+_EXT_CELL = re.compile(r"ext:([^:]*):([^:]*)(?::(strict|nonstrict))?")
 
 
 def evaluate_condition(m: RightModule, condition, rule_id: str, guards: Guards):
@@ -598,6 +585,16 @@ def condition_label(condition) -> str:
     return condition
 
 
+def ext_cell(arity: str, depth: str, strict: bool = True) -> tuple:
+    """The extension cell ("ext", m, d, strict) from the decimal strings m
+    and d: the one rule for cells named in --conditions and --extensions."""
+    if not (arity.isdecimal() and depth.isdecimal()):
+        raise ValueError("arity and depth must be non-negative integers")
+    if int(arity) < 2:
+        raise ValueError("arity must be >= 2")
+    return ("ext", int(arity), int(depth), strict)
+
+
 def parse_condition(text: str):
     """Inverse of condition_label; an extension cell is strict by default."""
     if text in CONDITIONS:
@@ -606,9 +603,10 @@ def parse_condition(text: str):
     if cell is None:
         raise ValueError(f"unknown condition {text!r}: expected one of "
                          f"{', '.join(CONDITIONS)} or ext:m:d[:strict|nonstrict]")
-    if int(cell[1]) < 2:
-        raise ValueError(f"condition {text!r}: arity must be >= 2")
-    return ("ext", int(cell[1]), int(cell[2]), cell[3] != "nonstrict")
+    try:
+        return ext_cell(cell[1], cell[2], cell[3] != "nonstrict")
+    except ValueError as exc:
+        raise ValueError(f"condition {text!r}: {exc}") from None
 
 
 def serialize_value(value):

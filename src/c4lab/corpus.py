@@ -19,11 +19,9 @@ from . import linalg
 from .algebra import (
     FiniteAlgebra,
     field_algebra,
-    jacobson_radical,
     matrix_algebra,
     poly_quotient_algebra,
     product_algebra,
-    quotient_algebra,
     upper_triangular_algebra,
 )
 from .guards import memo
@@ -32,7 +30,11 @@ from .modules import (
     all_submodules,
     direct_sum,
     iso_test,
+    quotient_module,
+    radical_submodule,
     regular_module,
+    socle,
+    submodule_span,
 )
 
 
@@ -64,17 +66,8 @@ def simple_modules(ring: FiniteAlgebra) -> list[RightModule]:
 
 
 def _simple_modules(ring: FiniteAlgebra) -> list[RightModule]:
-    rad = jacobson_radical(ring)
-    quot, project = quotient_algebra(ring, rad)
-    k = quot.dim
-    action = np.zeros((ring.dim, k, k), dtype=np.int64)
-    red, piv = (linalg.rref(rad.basis, ring.p) if rad.dim else (rad.basis, []))
-    nonpiv = [c for c in range(ring.dim) if c not in piv]
-    lifts = linalg.eye(ring.dim)[nonpiv]
-    for j in range(ring.dim):
-        rows = lifts @ ring.right_regular_stack()[j] % ring.p
-        action[j] = project(rows)
-    top = RightModule(ring, action, name=f"{ring.name}/rad", validate=True)
+    reg = regular_module(ring)
+    top, _ = quotient_module(reg, radical_submodule(reg))     # R/J, as R*J = J
     found: list[RightModule] = []
     for sub in all_submodules(top).minimal_members():
         cand = sub.as_module()
@@ -206,7 +199,6 @@ def corpus_builtin() -> tuple[CorpusEntry, ...]:
     })
     add("r3", s3, {"strong": Expectation(True, "TRIVIAL")})
     # R/(x^2) as the quotient of the regular module by its socle
-    from .modules import quotient_module, socle
     quot_mod, _ = quotient_module(reg3, socle(reg3))
     quot_mod.name = "r3_len2"
     add("r3", quot_mod, {
@@ -245,7 +237,6 @@ def corpus_builtin() -> tuple[CorpusEntry, ...]:
         "summand_square_free": Expectation(False, "TRIVIAL"),
     })
     # the length-2 projective indecomposable e1*T2
-    from .modules import submodule_span
     proj1 = submodule_span(regt, linalg.eye(3)[0:1]).as_module()
     proj1.name = "t2_proj1"
     add("t2", proj1, {
@@ -305,8 +296,7 @@ def corpus_builtin() -> tuple[CorpusEntry, ...]:
         "strong": Expectation(False, "DERIVED", "C4star fails"),
     })
     add("m2r2", sbig, {"strong": Expectation(True, "TRIVIAL")})
-    from .modules import socle as _socle
-    soc_big = _socle(regbig).as_module()
+    soc_big = socle(regbig).as_module()
     soc_big.name = "m2r2_soc"
     add("m2r2", soc_big, {
         **_exp_semisimple_strong(),

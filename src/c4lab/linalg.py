@@ -7,6 +7,11 @@ spaces, kernels are left kernels ({x : x @ A = 0}), and canonical bases
 are reduced row echelon forms, so basis equality is a byte-level array
 comparison.
 
+This module is the one place where a GF(p) product is formed and
+reduced; the rest of the package calls ``matmul_mod`` or ``combine``.
+Primes are limited to p < 2^31 (``algebra.PrimeField`` rejects larger
+ones), and every kernel is exact for every accepted prime.
+
 Kernels:
 
 * ``rref`` over GF(2) packs each row into a Python-int bitset (one int64
@@ -16,16 +21,24 @@ Kernels:
   the general path, so both return the same arrays.  For p > 2 it
   eliminates on int64 arrays, whose elementwise updates need
   (p-1)^2 + p < 2^63.
-* ``matmul_mod`` is ``(a @ b) % p``, batched like ``np.matmul``.  It goes
-  through float64 BLAS, exact while every dot product is below 2^53,
-  i.e. k*(p-1)^2 < 2^53 for inner dimension k.  Above that bound it
-  sums exact int64 products over chunks of the inner dimension.
+* ``matmul_mod`` is ``(a @ b) % p``, batched like ``np.matmul``.  With
+  inner dimension k it takes one of two paths, chosen from the
+  operands' shapes and p:
 
-Primes are limited to p < 2^31 (``algebra.PrimeField`` rejects larger
-ones), which keeps both bounds above satisfiable.
+  - float64 BLAS while k*(p-1)^2 < 2^53, where every dot product is an
+    exactly representable integer, and each matrix product has at least
+    2^12 multiply-adds (below that numpy's int64 loop beats the float64
+    conversions and the BLAS call);
+  - otherwise exact int64 partial products over chunks of the inner
+    dimension, each below 2^63, reduced and summed: a single int64
+    product whenever k*(p-1)^2 < 2^63.
+* ``combine`` sums a stack of matrices weighted by coefficient rows, as
+  one ``matmul_mod`` on the flattened stack.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -122,7 +135,8 @@ def _pack_gf2(a: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
 
 
-def _unpack_gf2(rows: list[int], n: int) -> np.ndarray:
+def unpack_gf2(rows: list[int], n: int) -> np.ndarray:
+    """0/1 matrix of n columns from Python-int rows, column c at bit n-1-c."""
     if n <= _PACK_INT64:
         codes = np.array(rows, dtype=np.int64).reshape(-1, 1)
         return (codes >> _SHIFTS[_PACK_INT64 - n:]) & 1
@@ -162,21 +176,26 @@ def _rref_gf2(a: np.ndarray, n_pivot_cols: int):
         rows[r] = piv
         pivots.append(c)
         r += 1
-    return _unpack_gf2(rows, n), pivots
+    return unpack_gf2(rows, n), pivots
+
+
+# Below this many multiply-adds per matrix product numpy's int64 matmul beats
+# float64 conversion plus BLAS (crossover near 16x16 by 16x16, OpenBLAS).
+_FLOAT_WORK = 2 ** 12
 
 
 def matmul_mod(a, b, p: int) -> np.ndarray:
     """(a @ b) % p for int64 operands with entries in [0, p), exactly.
 
-    Operands are at least two-dimensional and broadcast over leading axes
-    like ``np.matmul``.  With inner dimension k, float64 BLAS is exact
-    while k*(p-1)^2 < 2^53; otherwise int64 partial products over chunks
-    of the inner dimension, each below 2^63, are reduced and summed.
+    b is at least two-dimensional, a may be a vector, and leading axes
+    broadcast like ``np.matmul``.  The shapes and p pick the path (float64
+    BLAS or chunked int64); see the module docstring.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     k = a.shape[-1]
-    if k * (p - 1) ** 2 < 2 ** 53:
+    rows = a.shape[-2] if a.ndim > 1 else 1
+    if k * (p - 1) ** 2 < 2 ** 53 and rows * k * b.shape[-1] >= _FLOAT_WORK:
         # float64 fmod is far slower than int64 remainder, so reduce after
         # the (exact) conversion back to int64
         return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % p
@@ -186,6 +205,30 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
         out += np.matmul(a[..., s:s + step], b[..., s:s + step, :]) % p
         out %= p
     return out
+
+
+def combine(coeffs, stack, p: int) -> np.ndarray:
+    """sum_k coeffs[..., k] * stack[k] mod p for a (k, r, c) matrix stack.
+
+    coeffs is a (k,) vector or an (n, k) matrix of coefficient rows; the
+    result is one (r, c) matrix or an (n, r, c) stack.
+    """
+    out = matmul_mod(coeffs, stack.reshape(stack.shape[0], math.prod(stack.shape[1:])), p)
+    return out.reshape(coeffs.shape[:-1] + stack.shape[1:])
+
+
+def quotient_projection(basis, p: int):
+    """(nonpiv, project) for coordinates modulo rowspace(basis): the quotient
+    keeps the non-pivot columns of basis's RREF red, and project(rows) is
+    rows - rows[:, piv] @ red on those columns."""
+    red, piv = rref(basis, p) if basis.shape[0] else (basis, [])
+    nonpiv = [c for c in range(basis.shape[1]) if c not in piv]
+    red = red[:len(piv), nonpiv]
+
+    def project(rows):
+        rows = as_gf(rows, p)
+        return (rows[:, nonpiv] - matmul_mod(rows[:, piv], red, p)) % p
+    return nonpiv, project
 
 
 def rank(mat, p: int) -> int:
@@ -276,7 +319,7 @@ def intersect_rows(a, b, p: int) -> np.ndarray:
     w = left_nullspace(stacked, p)
     if w.shape[0] == 0:
         return zeros(0, a.shape[1])
-    return row_space(w[:, :ka] @ a, p)
+    return row_space(matmul_mod(w[:, :ka], a, p), p)
 
 
 def inv_mod(mat, p: int):
@@ -311,6 +354,12 @@ def decode_codes(codes, width: int, p: int) -> np.ndarray:
         out[:, pos] = c % p
         c //= p
     return out
+
+
+def encode_codes(rows, p: int) -> np.ndarray:
+    """Inverse of decode_codes: the code of each digit row (last axis)."""
+    rows = np.asarray(rows)
+    return rows @ p ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
 def coeff_blocks(total: int, width: int, p: int, block: int = 4096):

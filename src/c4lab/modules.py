@@ -37,7 +37,7 @@ class RightModule:
     def _validate(self):
         p = self.p
         ident = linalg.eye(self.dim)
-        rho_one = np.einsum("j,jab->ab", self.ring.one, self.action) % p
+        rho_one = linalg.combine(self.ring.one, self.action, p)
         if not np.array_equal(rho_one, ident):
             raise ValueError("rho(1) is not the identity matrix")
         d, m = self.ring.dim, self.dim
@@ -52,14 +52,12 @@ class RightModule:
 
     def rho(self, ring_coords) -> np.ndarray:
         """Action matrix of an arbitrary ring element."""
-        c = linalg.as_gf(ring_coords, self.p)
-        return np.einsum("j,jab->ab", c, self.action) % self.p
+        return linalg.combine(linalg.as_gf(ring_coords, self.p), self.action, self.p)
 
     def act_rows(self, rows) -> np.ndarray:
         """All basis actions applied to each row: shape (k*ring.dim, m)."""
-        rows = linalg.as_gf(rows, self.p)
-        out = np.einsum("ka,jab->kjb", rows, self.action) % self.p
-        return out.reshape(-1, self.dim)
+        out = linalg.matmul_mod(linalg.as_gf(rows, self.p), self.action, self.p)
+        return out.transpose(1, 0, 2).reshape(out.shape[0] * out.shape[1], self.dim)
 
     def zero_submodule(self) -> "Submodule":
         return Submodule(self, linalg.zeros(0, self.dim))
@@ -169,9 +167,9 @@ class Submodule:
             return parent
         action = np.zeros((parent.ring.dim, self.dim, self.dim), dtype=np.int64)
         if self.dim:
+            acted = linalg.matmul_mod(self.basis, parent.action, p)
             for j in range(parent.ring.dim):
-                rows = self.basis @ parent.action[j] % p
-                coeff = linalg.solve_left_many(self.basis, rows, p)
+                coeff = linalg.solve_left_many(self.basis, acted[j], p)
                 if coeff is None:
                     raise ValueError("span is not closed under the ring action")
                 action[j] = coeff
@@ -182,7 +180,7 @@ class Submodule:
         rows = linalg.as_gf(abstract_rows, self.parent.p)
         if self.dim == self.parent.dim:
             return rows
-        return rows @ self.basis % self.parent.p
+        return linalg.matmul_mod(rows, self.basis, self.parent.p)
 
     def from_parent(self, parent_rows):
         rows = linalg.as_gf(parent_rows, self.parent.p)
@@ -208,8 +206,8 @@ class ModuleHom:
             raise ValueError("hom matrix has wrong shape")
         self.matrix = mat
         if check and mat.size:
-            left = np.einsum("jab,bc->jac", source.action, mat) % self.p
-            right = np.einsum("ab,jbc->jac", mat, target.action) % self.p
+            left = linalg.matmul_mod(source.action, mat, self.p)
+            right = linalg.matmul_mod(mat, target.action, self.p)
             if not np.array_equal(left, right):
                 j = int(np.argwhere(np.any(left != right, axis=(1, 2)))[0, 0])
                 raise ValueError(f"map does not commute with ring basis element {j}")
@@ -220,7 +218,7 @@ class ModuleHom:
         if other.source is not self.target:
             raise ValueError("composition mismatch")
         return ModuleHom(self.source, other.target,
-                         self.matrix @ other.matrix % self.p, check=False)
+                         linalg.matmul_mod(self.matrix, other.matrix, self.p), check=False)
 
     def rank(self) -> int:
         return linalg.rank(self.matrix, self.p)
@@ -270,18 +268,17 @@ def hom_space_matrices(m: RightModule, n: RightModule) -> np.ndarray:
     if a == 0 or b == 0:
         mats = np.zeros((0, a, b), dtype=np.int64)
     else:
-        ident_a = linalg.eye(a)
-        ident_b = linalg.eye(b)
         # Commuting with a generating set of the algebra commutes with all
         # of it (the commutant is a unital subalgebra), so the system only
         # ranges over generator indices.  Unknown F is flattened row-major
         # as x[(s, t)] = F[s, t]; each equation column is one entry (r, c)
-        # of rho_M(j) @ F - F @ rho_N(j).  Solved one generator at a time,
-        # restricting the solution space at each stage.
+        # of rho_M(j) @ F - F @ rho_N(j), so row (s, x) of that column is
+        # rho_M(j)[r, s] [x == c] - [s == r] rho_N(j)[x, c].  Solved one
+        # generator at a time, restricting the solution space at each stage.
         sols = None
         for j in m.ring.generator_indices():
-            t1 = np.einsum("rs,xc->sxrc", m.action[j], ident_b)
-            t2 = np.einsum("sr,xc->sxrc", ident_a, n.action[j])
+            t1 = m.action[j].T[:, None, :, None] * linalg.eye(b)[None, :, None, :]
+            t2 = linalg.eye(a)[:, None, :, None] * n.action[j][None, :, None, :]
             block = ((t1 - t2) % p).reshape(a * b, a * b)
             if sols is None:
                 sols = linalg.left_nullspace(block, p)
@@ -333,8 +330,7 @@ def cyclic_submodule_basis(m: RightModule, vector) -> np.ndarray:
     """Canonical basis of v*R (one action step suffices: rho is multiplicative
     and the identity lies in the span of the ring basis)."""
     v = linalg.as_gf(vector, m.p).reshape(m.dim)
-    rows = np.einsum("a,jab->jb", v, m.action) % m.p
-    return linalg.row_space(rows, m.p)
+    return linalg.row_space(linalg.matmul_mod(v, m.action, m.p), m.p)
 
 
 class SubmoduleLattice:
@@ -377,12 +373,9 @@ class SubmoduleLattice:
 def _cyclic_bases_gf2(m: RightModule, total: int) -> list[np.ndarray]:
     """All distinct cyclic-submodule bases over GF(2), rows bit-packed
     into ints so the per-vector elimination avoids numpy overhead."""
-    width = m.dim
-    weights = (1 << np.arange(width - 1, -1, -1)).astype(np.int64)
     distinct: dict[tuple, None] = {(): None}
-    for _, block in linalg.coeff_blocks(total, width, 2, block=2048):
-        acted = np.einsum("na,jab->njb", block, m.action) % 2
-        packed = acted @ weights
+    for _, block in linalg.coeff_blocks(total, m.dim, 2, block=2048):
+        packed = linalg.encode_codes(m.act_rows(block), 2).reshape(block.shape[0], m.ring.dim)
         for t in range(packed.shape[0]):
             pivots: dict[int, int] = {}
             for r in packed[t]:
@@ -401,14 +394,7 @@ def _cyclic_bases_gf2(m: RightModule, total: int) -> list[np.ndarray]:
                     if (pivots[other] >> bbit) & 1:
                         pivots[other] ^= v
             distinct.setdefault(tuple(pivots[bbit] for bbit in order), None)
-    out = []
-    for key in distinct:
-        rows = np.zeros((len(key), m.dim), dtype=np.int64)
-        for i, packed_row in enumerate(key):
-            for c in range(m.dim):
-                rows[i, c] = (packed_row >> (m.dim - 1 - c)) & 1
-        out.append(rows)
-    return out
+    return [linalg.unpack_gf2(list(key), m.dim) for key in distinct]
 
 
 def all_submodules(m: RightModule, max_vectors: int = 2 ** 16) -> SubmoduleLattice:
@@ -428,7 +414,7 @@ def _lattice(m: RightModule, total: int) -> SubmoduleLattice:
             seen.setdefault(basis.tobytes(), basis)
     else:
         for _, block in linalg.coeff_blocks(total, m.dim, p):
-            acted = np.einsum("na,jab->njb", block, m.action) % p
+            acted = m.act_rows(block).reshape(block.shape[0], m.ring.dim, m.dim)
             for t in range(block.shape[0]):
                 basis = linalg.row_space(acted[t], p)
                 seen.setdefault(basis.tobytes(), basis)
@@ -504,11 +490,8 @@ def socle_series_dims(m: RightModule) -> tuple[int, ...]:
         dims.append(ann.shape[0])
         if ann.shape[0] == m.dim:
             break
-        prods = []
-        for u in power:
-            for v in rad:
-                prods.append(m.ring.mul_coords(u, v))
-        power = linalg.row_space(np.array(prods, dtype=np.int64), p)
+        prods = linalg.matmul_mod(rad, m.ring.left_mult_matrix(power), p)   # [u, v] = u*v
+        power = linalg.row_space(prods.reshape(-1, m.ring.dim), p)
     return tuple(dims)
 
 
@@ -572,12 +555,12 @@ def _is_summand(n: Submodule, m: RightModule):
     if homs.shape[0] == 0:
         return None
     # h restricted to N equals the identity: (basis_N @ H) = I, linear in H.
-    rows = np.array([(n.basis @ h % p).reshape(-1) for h in homs])
+    rows = linalg.matmul_mod(n.basis, homs, p).reshape(homs.shape[0], -1)
     target = linalg.eye(n.dim).reshape(1, -1)
     coeff = linalg.solve_left_many(rows, target, p)
     if coeff is None:
         return None
-    h = np.einsum("k,kab->ab", coeff[0], homs) % p
+    h = linalg.combine(coeff[0], homs, p)
     complement = linalg.left_nullspace(h, p)
     return Submodule(m, complement, check=False)
 
@@ -611,21 +594,10 @@ def quotient_module(m: RightModule, n: Submodule):
     Returns (quotient, projection hom).
     """
     _check_sub(n, m)
-    p = m.p
-    red, piv = (linalg.rref(n.basis, p) if n.dim else (n.basis, []))
-    nonpiv = [c for c in range(m.dim) if c not in piv]
+    nonpiv, project = linalg.quotient_projection(n.basis, m.p)
     k = len(nonpiv)
-
-    def project(rows):
-        rows = linalg.as_gf(rows, p).copy()
-        for r, c in enumerate(piv):
-            rows = (rows - np.outer(rows[:, c], red[r])) % p
-        return rows[:, nonpiv] if k else linalg.zeros(rows.shape[0], 0)
-
-    action = np.zeros((m.ring.dim, k, k), dtype=np.int64)
-    lifts = linalg.eye(m.dim)[nonpiv] if k else linalg.zeros(0, m.dim)
-    for j in range(m.ring.dim):
-        action[j] = project(lifts @ m.action[j] % p)
+    # the lifts of the quotient basis are the unit rows at nonpiv
+    action = project(m.action[:, nonpiv].reshape(-1, m.dim)).reshape(m.ring.dim, k, k)
     quot = RightModule(m.ring, action, name=f"{m.name}/sub{n.dim}", validate=False)
     proj = ModuleHom(m, quot, project(linalg.eye(m.dim)), check=False)
     return quot, proj
@@ -648,7 +620,7 @@ def _minimal_inside(m: RightModule, max_vectors: int) -> Submodule:
         sub_total = m.p ** current.shape[0]
         descended = False
         for _, block in linalg.coeff_blocks(sub_total, current.shape[0], m.p):
-            vs = block @ current % m.p
+            vs = linalg.matmul_mod(block, current, m.p)
             for v in vs:
                 if not np.any(v):
                     continue
@@ -732,7 +704,7 @@ def iso_test(m: RightModule, n: RightModule,
     total = m.p ** k
     if total <= max_iso:
         for _, block in linalg.coeff_blocks(total, k, m.p):
-            cands = np.einsum("nk,kab->nab", block, homs) % m.p
+            cands = linalg.combine(block, homs, m.p)
             for t in range(cands.shape[0]):
                 if linalg.rank(cands[t], m.p) == m.dim:
                     return ModuleHom(m, n, cands[t], check=False)
@@ -740,7 +712,7 @@ def iso_test(m: RightModule, n: RightModule,
     rng = np.random.default_rng(rng_seed)
     for _ in range(sample_budget):
         coeff = rng.integers(0, m.p, size=k)
-        cand = np.einsum("k,kab->ab", coeff, homs) % m.p
+        cand = linalg.combine(coeff, homs, m.p)
         if linalg.rank(cand, m.p) == m.dim:
             return ModuleHom(m, n, cand, check=False)
     raise IsoInconclusive(

@@ -126,7 +126,8 @@ def corner_progenerator(ring: FiniteAlgebra, e_coords) -> Progenerator:
     # split embedding P -> R_R with retraction v -> e*v
     incl = sub.basis
     retr = linalg.solve_left_many(sub.basis, ring.left_mult_matrix(e.coords), ring.p)
-    if retr is None or not np.array_equal(incl @ retr % ring.p, linalg.eye(sub.dim)):
+    if retr is None or not np.array_equal(linalg.matmul_mod(incl, retr, ring.p),
+                                          linalg.eye(sub.dim)):
         raise ValueError("corner retraction failed; e is not idempotent?")
     certs = {
         "generator": _generator_certificate(ring, p_mod),
@@ -157,7 +158,7 @@ def _compose_coords(hom_mats, flat_basis, p):
     k = hom_mats.shape[0]
     sc = np.zeros((k, k, k), dtype=np.int64)
     for i in range(k):
-        prods = np.einsum("jab,bc->jac", hom_mats, hom_mats[i]) % p
+        prods = linalg.matmul_mod(hom_mats, hom_mats[i], p)
         coeffs = linalg.solve_left_many(flat_basis, prods.reshape(k, -1), p)
         if coeffs is None:
             raise ValueError("endomorphism space not closed under composition")
@@ -165,18 +166,19 @@ def _compose_coords(hom_mats, flat_basis, p):
     return sc
 
 
-def end_algebra(p_mod: RightModule, projective: bool = False,
-                name: str | None = None) -> EndData:
+def end_algebra(p_mod: RightModule, projective: bool = False) -> EndData:
     """End(P) with composition ordered for right precomposition actions.
 
     The product of s and t is the map x -> s(t(x)); in row-matrix form
     mat(s*t) = mat(t) @ mat(s).  For projective P the radical is
     attached as {f : im f <= rad P}.
     """
-    return memo(p_mod._cache, "end_data", lambda: _end_data(p_mod, projective, name))
+    # the projective entry, the one progenerators certify, is read as _cache["end_data"]
+    return memo(p_mod._cache, "end_data" if projective else "end_data_without_radical",
+                lambda: _end_data(p_mod, projective))
 
 
-def _end_data(p_mod: RightModule, projective: bool, name: str | None) -> EndData:
+def _end_data(p_mod: RightModule, projective: bool) -> EndData:
     p = p_mod.p
     homs = hom_space_matrices(p_mod, p_mod)
     k = homs.shape[0]
@@ -189,10 +191,10 @@ def _end_data(p_mod: RightModule, projective: bool, name: str | None) -> EndData
     if projective:
         rad_p = radical_submodule(p_mod)
         cols = rad_p.membership_cols()
-        rows = np.array([(h @ cols % p).reshape(-1) for h in homs]).reshape(k, -1)
+        rows = linalg.matmul_mod(homs, cols, p).reshape(k, -1)
         rad = linalg.left_nullspace(rows, p)
     alg = FiniteAlgebra(p, k, tuple(f"s{i}" for i in range(k)), sc, one[0],
-                        name=name or f"End({p_mod.name})", known_radical=rad)
+                        name=f"End({p_mod.name})", known_radical=rad)
     if rad is not None:
         ideal = IdealBasis(alg, alg._known_radical)
         if not ideal.is_two_sided():
@@ -211,8 +213,9 @@ def _certify_bridge(end_data: EndData, target: FiniteAlgebra, phi_mats, p):
     if coords is None or target.dim != k or linalg.rank(coords, p) != k:
         raise TheoremViolation("endomorphism bridge is not bijective")
     # multiplicativity: coords is an algebra map for the composition order
-    left = np.einsum("ua,vb,abk->uvk", coords, coords, end_data.algebra.sc) % p
-    right = np.einsum("uvw,wk->uvk", target.sc, coords) % p
+    # left[u, v] = coords[v] @ left_mult(coords[u]), the product of the images of t_u, t_v
+    left = linalg.matmul_mod(coords, end_data.algebra.left_mult_matrix(coords), p)
+    right = linalg.matmul_mod(target.sc, coords, p)
     if not np.array_equal(left, right):
         raise TheoremViolation("endomorphism bridge is not multiplicative")
     return {"target": target, "coords": coords}
@@ -245,7 +248,8 @@ def certified_corner_iso(ring: FiniteAlgebra, prog: Progenerator) -> dict:
     phi = []
     for row in corner.embedding:
         lm = ring.left_mult_matrix(row)
-        mat = linalg.solve_left_many(sub.basis, sub.basis @ lm % ring.p, ring.p)
+        mat = linalg.solve_left_many(sub.basis, linalg.matmul_mod(sub.basis, lm, ring.p),
+                                     ring.p)
         if mat is None:
             raise TheoremViolation("corner left multiplication leaves eR")
         phi.append(mat)
@@ -268,8 +272,7 @@ class TransportedModule:
     hom_mats: np.ndarray       # (t, dim P, dim M)
 
     def hom_of_coords(self, coords) -> np.ndarray:
-        return np.einsum("k,kab->ab", linalg.as_gf(coords, self.image.p),
-                         self.hom_mats) % self.image.p
+        return linalg.combine(linalg.as_gf(coords, self.image.p), self.hom_mats, self.image.p)
 
 
 def apply_functor(prog: Progenerator, m: RightModule) -> TransportedModule:
@@ -288,7 +291,7 @@ def apply_functor(prog: Progenerator, m: RightModule) -> TransportedModule:
     flat = mats.reshape(t, -1)
     action = np.zeros((s_alg.dim, t, t), dtype=np.int64)
     for j in range(s_alg.dim):
-        precomposed = np.einsum("ab,tbm->tam", end_data.hom_mats[j], mats) % p
+        precomposed = linalg.matmul_mod(end_data.hom_mats[j], mats, p)
         coeffs = linalg.solve_left_many(flat, precomposed.reshape(t, -1), p) \
             if t else linalg.zeros(0, 0)
         if coeffs is None:
@@ -309,7 +312,7 @@ def transport_submodule(tr: TransportedModule, n: Submodule) -> Submodule:
     if t == 0:
         return tr.image.zero_submodule()
     cols = n.membership_cols()
-    rows = np.array([(h @ cols % p).reshape(-1) for h in tr.hom_mats]).reshape(t, -1)
+    rows = linalg.matmul_mod(tr.hom_mats, cols, p).reshape(t, -1)
     coords = linalg.left_nullspace(rows, p)
     return Submodule(tr.image, coords, check=False)
 
@@ -322,7 +325,7 @@ def transport_hom(tr_src: TransportedModule, tr_tgt: TransportedModule,
     p = tr_src.image.p
     t = tr_src.hom_mats.shape[0]
     target_flat = tr_tgt.hom_mats.reshape(tr_tgt.hom_mats.shape[0], -1)
-    pushed = np.einsum("tab,bc->tac", tr_src.hom_mats, f.matrix) % p
+    pushed = linalg.matmul_mod(tr_src.hom_mats, f.matrix, p)
     coords = linalg.solve_left_many(target_flat, pushed.reshape(t, -1), p)
     if coords is None:
         raise ValueError("postcomposition left the target hom space")
@@ -353,7 +356,7 @@ def transport_witness(tr: TransportedModule, w: WitnessRecord) -> WitnessRecord:
         inside = linalg.solve_left_many(src_a.basis, phi, p)
         if inside is None:
             raise TheoremViolation("transported summand leaked outside A")
-        pushed = inside @ w.f.matrix % p @ src_b.basis % p
+        pushed = linalg.matmul_mod(linalg.matmul_mod(inside, w.f.matrix, p), src_b.basis, p)
         flat = tr.hom_mats.reshape(tr.hom_mats.shape[0], -1)
         image_coords = linalg.solve_left_many(flat, pushed.reshape(1, -1), p)
         if image_coords is None:
@@ -434,11 +437,9 @@ def morita_pair_check(ring: FiniteAlgebra, realization, m: RightModule,
 
 
 def _transported_witness_key(tr: TransportedModule, w: WitnessRecord) -> tuple:
-    dims = []
-    for sub in (w.decomposition.a, w.decomposition.b, w.kernel, w.image):
-        dims.append(transport_submodule(tr, sub).dim)
-    im_t = transport_submodule(tr, w.image)
-    return (dims[0], dims[1], dims[2], dims[3], fingerprint(im_t.as_module()))
+    a_t, b_t, ker_t, im_t = (transport_submodule(tr, sub) for sub in (
+        w.decomposition.a, w.decomposition.b, w.kernel, w.image))
+    return (a_t.dim, b_t.dim, ker_t.dim, im_t.dim, fingerprint(im_t.as_module()))
 
 
 def defect_bijection_check(prog: Progenerator, m: RightModule,

@@ -78,7 +78,7 @@ def block_idempotent_coords(ring, mat_prog):
     """Coordinates of E11 (x) 1 inside End(R^2), via the certified bridge."""
     bridge = end_algebra(mat_prog.module, projective=True).certified_iso
     rows = bridge["coords"][0:ring.dim]
-    return (ring.one.reshape(1, -1) @ rows % ring.p)[0]
+    return linalg.matmul_mod(ring.one, rows, ring.p)
 
 
 SIDES = ("matrix", "corner")

@@ -216,3 +216,21 @@ def test_morita_rejects_bad_conditions_before_computing(
     assert result.exit_code == 2
     assert result.output.startswith(f"error: --conditions: unknown condition {bad}")
     assert result.output.count("\n") == 1
+
+
+@pytest.mark.parametrize("extensions, message", [
+    ("1,1", "cell '1,1': arity must be >= 2"),
+    ("2,1;a,1", "cell 'a,1': arity and depth must be non-negative integers"),
+    ("2,-1", "cell '2,-1': arity and depth must be non-negative integers"),
+    ("2,1,3", "cell '2,1,3': expected 'm,d'"),
+])
+def test_analyze_rejects_bad_extensions_before_computing(
+        runner, mixed_module_file, monkeypatch, extensions, message):
+    from c4lab import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("extensions must be validated before any check runs")
+    monkeypatch.setattr(cli, "build_defect_report", never)
+    result = runner.invoke(main, ["analyze", mixed_module_file, "--extensions", extensions])
+    assert result.exit_code == 2
+    assert result.output == f"error: --extensions: {message}\n"

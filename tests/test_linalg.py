@@ -258,3 +258,25 @@ def test_prime_field_bound():
     assert sq.tolist() == [[1]]
     f = field_algebra(p)
     assert f.mul_coords([p - 1], [p - 1]).tolist() == [1]
+
+
+def test_gf_products_live_in_linalg():
+    """No module but linalg forms a matrix product itself: every mod-p
+    product goes through linalg.matmul_mod or linalg.combine."""
+    import ast
+    import pathlib
+
+    src = pathlib.Path(linalg.__file__).parent
+    products = {"einsum", "matmul", "dot", "tensordot", "inner", "vdot"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, ast.Attribute) and node.attr in products:
+                found.append(f"{path.name}:{node.lineno}: {node.attr}")
+            elif isinstance(node, ast.Name) and node.id in products:
+                found.append(f"{path.name}:{node.lineno}: {node.id}")
+    assert not found, found

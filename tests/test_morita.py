@@ -203,3 +203,13 @@ def test_socle_transported_is_socle(prog, ms):
     tr = apply_functor(prog, ms)
     left = transport_submodule(tr, socle(ms))
     assert left == socle(tr.image)
+
+
+def test_end_algebra_keys_its_cache_on_projective():
+    m = regular_module(poly_quotient_algebra(2, [0, 0, 1]))
+    plain = end_algebra(m)
+    assert plain.algebra._known_radical is None
+    projective = end_algebra(m, projective=True)
+    assert projective.algebra._known_radical is not None
+    assert jacobson_radical(projective.algebra).dim == 1
+    assert end_algebra(m) is plain and end_algebra(m, projective=True) is projective
