@@ -538,7 +538,7 @@ def idempotents(a: FiniteAlgebra, guard: int = 2 ** 20) -> list[AlgebraElement]:
 
     def scan():
         found = []
-        for _, coeffs in linalg.coeff_blocks(n, a.dim, a.p):
+        for coeffs in linalg.coeff_blocks(n, a.dim, a.p):
             lmats = linalg.combine(coeffs, a.sc, a.p)
             sq = linalg.matmul_mod(coeffs[:, None, :], lmats, a.p)[:, 0, :]
             mask = np.all(sq == coeffs, axis=1)

@@ -1,9 +1,10 @@
 """Command-line surface: analyze, morita, suite.
 
-Exit codes: 0 success; 1 a transport violation (morita) or a failed
-suite check; 2 an input, validation or guard error; 3 an isomorphism
-search that ran out of samples, so no verdict could be given.  Errors
-and inconclusive searches print one line to stderr.
+Exit codes follow guards.FAILURE_STATUS: 0 success; 1 a failed check (a
+transport violation); 2 an input, validation or guard error; 3 an
+isomorphism search out of samples, so no verdict.  A failure that ends a
+command prints one line to stderr; `suite` prints its whole report, then
+exits 1 if a check failed, else 3 if one was inconclusive.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import click
 
 from .conditions import (CONDITION_NAMES, DEFAULT_RULE_ID, build_defect_report, ext_cell,
                          parse_condition)
-from .guards import GuardExceeded, IsoInconclusive
+from .guards import FAILURE_STATUS
 from .io import InputError, load_guards, parse_module, parse_ring
 from .modules import regular_module
 from .morita import morita_pair_check
@@ -35,21 +36,24 @@ import os
 
 
 EXIT_ERROR = 2
-EXIT_INCONCLUSIVE = 3
+# (exit code, stderr label) for each record status of guards.FAILURE_STATUS
+EXITS = {"fail": (1, "theorem violation"), "partial": (EXIT_ERROR, "error"),
+         "inconclusive": (3, "inconclusive")}
 
 
 @contextmanager
 def _exit_on(*errors):
-    """Turn the given errors, and an inconclusive iso search, into a
-    one-line message and an exit code."""
+    """Turn the given errors and every failure kind into a one-line
+    message and an exit code."""
     try:
         yield
     except errors as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_ERROR)
-    except IsoInconclusive as exc:
-        click.echo(f"inconclusive: {exc}", err=True)
-        sys.exit(EXIT_INCONCLUSIVE)
+    except tuple(FAILURE_STATUS) as exc:
+        code, label = EXITS[FAILURE_STATUS[type(exc)]]
+        click.echo(f"{label}: {exc}", err=True)
+        sys.exit(code)
 
 
 @click.group()
@@ -100,7 +104,7 @@ def _parse_extensions(text):
               help="write the structured report here")
 def analyze(module_file, ring_mode, extensions, strict_chains, guards_path, out_path):
     """Full defect report for one module (or a ring's regular module)."""
-    with _exit_on(InputError, ValueError, GuardExceeded):
+    with _exit_on(InputError, ValueError):
         grid = _parse_extensions(extensions)
         guards = load_guards(guards_path)
         module = _load(module_file, ring_mode)
@@ -129,7 +133,7 @@ def morita(module_file, matrix_n, corner_spec, conditions, guards_path, out_path
     if (matrix_n is None) == (corner_spec is None):
         click.echo("error: exactly one of --matrix or --corner is required", err=True)
         sys.exit(EXIT_ERROR)
-    with _exit_on(InputError, ValueError, GuardExceeded):
+    with _exit_on(InputError, ValueError):
         try:
             cond_list = tuple(parse_condition(name.strip())
                               for name in conditions.split(",") if name.strip())
@@ -158,7 +162,7 @@ def morita(module_file, matrix_n, corner_spec, conditions, guards_path, out_path
     if out_path:
         write_structured(out_path, morita_report_dict(result, guards))
     if result["violations"]:
-        sys.exit(1)
+        sys.exit(EXITS["fail"][0])
 
 
 @main.command()
@@ -181,8 +185,9 @@ def suite(name_filter, seed, guards_path, out_path):
     click.echo(render_suite_report(summary))
     if out_path:
         write_structured(out_path, summary)
-    if summary["failures"]:
-        sys.exit(1)
+    for status in ("fail", "inconclusive"):
+        if any(r["status"] == status for r in results):
+            sys.exit(EXITS[status][0])
 
 
 if __name__ == "__main__":

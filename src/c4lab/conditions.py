@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .guards import Guards, DEFAULT_GUARDS, TheoremViolation, check_guard, memo
+from .guards import Guards, DEFAULT_GUARDS, GuardExceeded, TheoremViolation, check_guard, memo
 from .modules import (
     ModuleHom,
     RightModule,
@@ -81,7 +81,7 @@ def _end_scan(m: RightModule, homs: np.ndarray, total: int) -> tuple[Decompositi
         out.append(Decomposition(m, zero, zero,
                                  ModuleHom(m, m, linalg.zeros(0, 0), check=False)))
     else:
-        for _, block in linalg.coeff_blocks(total, k, m.p):
+        for block in linalg.coeff_blocks(total, k, m.p):
             cands = linalg.combine(block, homs, m.p)
             sq = linalg.matmul_mod(cands, cands, m.p)
             mask = np.all(sq == cands, axis=(1, 2))
@@ -216,7 +216,7 @@ def _hom_scan(m: RightModule, decs, rule_id: str) -> tuple[WitnessRecord, ...]:
         homs = hom_space_matrices(a_mod, b_mod)
         k = homs.shape[0]
         total = m.p ** k
-        for _, block in linalg.coeff_blocks(total, k, m.p):
+        for block in linalg.coeff_blocks(total, k, m.p):
             mats = linalg.combine(block, homs, m.p)
             for t in range(mats.shape[0]):
                 f = ModuleHom(a_mod, b_mod, mats[t], check=False)
@@ -480,7 +480,7 @@ def _c4_m_scan(m: RightModule, arity: int, decs, guards: Guards) -> bool:
 def _chain_ok(m, chain, mods, hom_stacks, dims, total) -> bool:
     p = m.p
     width = sum(dims)
-    for _, block in linalg.coeff_blocks(total, width, p):
+    for block in linalg.coeff_blocks(total, width, p):
         for row in block:
             mats = []
             pos = 0
@@ -649,8 +649,6 @@ def build_defect_report(m: RightModule, module_id: str | None = None,
     Sections that exceed a guard are recorded in report.partial and left
     empty rather than silently truncated.
     """
-    from .guards import GuardExceeded
-
     partial: dict = {}
 
     def attempt(name, fn, default):
@@ -686,9 +684,8 @@ def build_defect_report(m: RightModule, module_id: str | None = None,
 
     decomposition = None
     if flags["strong"]:
-        def run_decomp():
-            return decompose_strong(m, rule_id, guards)
-        decomposition = attempt("decompose_strong", run_decomp, None)
+        decomposition = attempt("decompose_strong",
+                                lambda: decompose_strong(m, rule_id, guards), None)
 
     ring_scan = None
     if ring_mode:

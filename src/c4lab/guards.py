@@ -5,9 +5,14 @@ isomorphism searches) is bounded; exceeding a bound raises
 GuardExceeded naming the offending count and the bound, never a silent
 truncation.
 
-Results are cached per object through `memo`, which checks the guard
+Every per-object cache goes through `memo`, which checks the guard
 before it looks in the cache: a call under a smaller bound raises even
 when a call under a larger bound already stored the result.
+
+`FAILURE_STATUS` is the one table from failure kinds to the status a
+check records: a guard hit leaves it partial, an isomorphism search out
+of samples leaves it inconclusive, and a transport contradiction fails
+it.  The suite records checks and the CLI picks exit codes from it.
 """
 
 from __future__ import annotations
@@ -41,6 +46,13 @@ class TheoremViolation(RuntimeError):
     """
 
 
+FAILURE_STATUS = {
+    GuardExceeded: "partial",
+    IsoInconclusive: "inconclusive",
+    TheoremViolation: "fail",
+}
+
+
 @dataclass(frozen=True)
 class Guards:
     """Enumeration bounds plus the seed for randomized fallbacks.
@@ -60,13 +72,7 @@ class Guards:
                 raise ValueError(f"guard {field_name} must be a positive integer")
 
     def to_dict(self) -> dict:
-        return {
-            "max_lattice_vectors": self.max_lattice_vectors,
-            "max_end_enumeration": self.max_end_enumeration,
-            "max_hom_scan": self.max_hom_scan,
-            "max_iso_search": self.max_iso_search,
-            "rng_seed": self.rng_seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Guards":

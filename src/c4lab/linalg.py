@@ -34,6 +34,10 @@ Kernels:
     product whenever k*(p-1)^2 < 2^63.
 * ``combine`` sums a stack of matrices weighted by coefficient rows, as
   one ``matmul_mod`` on the flattened stack.
+* ``distinct_row_spaces`` returns the distinct canonical row-space bases
+  of a stack of matrices (the cyclic submodules of a lattice scan).  Over
+  GF(2) it echelonizes each matrix on packed rows with a pivot table
+  keyed by leading bit; for p > 2 it calls ``row_space`` on each.
 """
 
 from __future__ import annotations
@@ -135,7 +139,7 @@ def _pack_gf2(a: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
 
 
-def unpack_gf2(rows: list[int], n: int) -> np.ndarray:
+def _unpack_gf2(rows: list[int], n: int) -> np.ndarray:
     """0/1 matrix of n columns from Python-int rows, column c at bit n-1-c."""
     if n <= _PACK_INT64:
         codes = np.array(rows, dtype=np.int64).reshape(-1, 1)
@@ -176,7 +180,7 @@ def _rref_gf2(a: np.ndarray, n_pivot_cols: int):
         rows[r] = piv
         pivots.append(c)
         r += 1
-    return unpack_gf2(rows, n), pivots
+    return _unpack_gf2(rows, n), pivots
 
 
 # Below this many multiply-adds per matrix product numpy's int64 matmul beats
@@ -246,6 +250,41 @@ def row_space(mat, p: int) -> np.ndarray:
         return a.copy()
     r, piv = rref(a, p)
     return r[: len(piv)].copy()
+
+
+def distinct_row_spaces(stack, p: int) -> list[np.ndarray]:
+    """The distinct canonical (RREF) row-space bases of an (n, r, c) matrix
+    stack, in order of first occurrence.
+
+    Over GF(2) each matrix has a few packed rows, echelonized through a
+    pivot table keyed by leading bit and then back-substituted, with no
+    numpy call per matrix.
+    """
+    if p != 2:
+        spaces: dict[bytes, np.ndarray] = {}
+        for mat in stack:
+            basis = row_space(mat, p)
+            spaces.setdefault(basis.tobytes(), basis)
+        return list(spaces.values())
+    n, r, c = np.shape(stack)
+    packed = _pack_gf2(np.reshape(stack, (n * r, c)))
+    distinct: dict[tuple, None] = {}
+    for start in range(0, n * r, r):
+        pivots: dict[int, int] = {}
+        for x in packed[start:start + r]:
+            while x:
+                lead = x.bit_length() - 1
+                if lead not in pivots:
+                    pivots[lead] = x
+                    break
+                x ^= pivots[lead]
+        order = sorted(pivots, reverse=True)
+        for pos, lead in enumerate(order):
+            for above in order[:pos]:
+                if pivots[above] >> lead & 1:
+                    pivots[above] ^= pivots[lead]
+        distinct.setdefault(tuple(pivots[lead] for lead in order), None)
+    return [_unpack_gf2(list(key), c) for key in distinct]
 
 
 def left_nullspace(mat, p: int) -> np.ndarray:
@@ -363,10 +402,7 @@ def encode_codes(rows, p: int) -> np.ndarray:
 
 
 def coeff_blocks(total: int, width: int, p: int, block: int = 4096):
-    """Yield (codes, digit_rows) chunks covering codes 0..total-1 in order."""
-    start = 0
-    while start < total:
-        stop = min(start + block, total)
-        codes = np.arange(start, stop, dtype=np.int64)
-        yield codes, decode_codes(codes, width, p)
-        start = stop
+    """Yield the digit rows of codes 0..total-1 in order, block rows at a time."""
+    for start in range(0, total, block):
+        yield decode_codes(np.arange(start, min(start + block, total), dtype=np.int64),
+                           width, p)

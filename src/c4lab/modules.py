@@ -257,10 +257,10 @@ def hom_space_matrices(m: RightModule, n: RightModule) -> np.ndarray:
     Solves the commutation system rho_M(b) @ F = F @ rho_N(b) for all
     ring basis elements b.
     """
-    key = ("homspace", id(n))
-    cached = m._cache.get(key)
-    if cached is not None and cached[0] is n:
-        return cached[1]
+    return memo(m._cache, ("homspace", n), lambda: _hom_space(m, n))
+
+
+def _hom_space(m: RightModule, n: RightModule) -> np.ndarray:
     if m.ring is not n.ring:
         raise ValueError("hom between modules over different rings")
     p = m.p
@@ -291,7 +291,6 @@ def hom_space_matrices(m: RightModule, n: RightModule) -> np.ndarray:
             sols = linalg.eye(a * b)
         mats = linalg.row_space(sols, p).reshape(-1, a, b)
     mats.setflags(write=False)
-    m._cache[key] = (n, mats)
     return mats
 
 
@@ -339,22 +338,18 @@ class SubmoduleLattice:
     def __init__(self, parent: RightModule, members: list[Submodule]):
         self.parent = parent
         self.members = tuple(members)
-        self._contains: np.ndarray | None = None
+        self._cache: dict = {}
 
     def __len__(self):
         return len(self.members)
 
     def contains_matrix(self) -> np.ndarray:
         """Boolean matrix C with C[i, j] true iff members[i] <= members[j]."""
-        if self._contains is None:
-            n = len(self.members)
-            c = np.zeros((n, n), dtype=bool)
-            for i, a in enumerate(self.members):
-                for j, b in enumerate(self.members):
-                    if a.dim <= b.dim:
-                        c[i, j] = b.contains(a)
-            self._contains = c
-        return self._contains
+        return memo(self._cache, "contains", self._containment)
+
+    def _containment(self) -> np.ndarray:
+        return np.array([[a.dim <= b.dim and b.contains(a) for b in self.members]
+                         for a in self.members], dtype=bool)
 
     def minimal_members(self) -> list[Submodule]:
         """Nonzero members containing no smaller nonzero member."""
@@ -370,33 +365,6 @@ class SubmoduleLattice:
         return out
 
 
-def _cyclic_bases_gf2(m: RightModule, total: int) -> list[np.ndarray]:
-    """All distinct cyclic-submodule bases over GF(2), rows bit-packed
-    into ints so the per-vector elimination avoids numpy overhead."""
-    distinct: dict[tuple, None] = {(): None}
-    for _, block in linalg.coeff_blocks(total, m.dim, 2, block=2048):
-        packed = linalg.encode_codes(m.act_rows(block), 2).reshape(block.shape[0], m.ring.dim)
-        for t in range(packed.shape[0]):
-            pivots: dict[int, int] = {}
-            for r in packed[t]:
-                r = int(r)
-                while r:
-                    msb = r.bit_length() - 1
-                    if msb in pivots:
-                        r ^= pivots[msb]
-                    else:
-                        pivots[msb] = r
-                        break
-            order = sorted(pivots, reverse=True)
-            for pos, bbit in enumerate(order):
-                v = pivots[bbit]
-                for other in order[:pos]:
-                    if (pivots[other] >> bbit) & 1:
-                        pivots[other] ^= v
-            distinct.setdefault(tuple(pivots[bbit] for bbit in order), None)
-    return [linalg.unpack_gf2(list(key), m.dim) for key in distinct]
-
-
 def all_submodules(m: RightModule, max_vectors: int = 2 ** 16) -> SubmoduleLattice:
     """Every submodule: cyclic submodules closed under pairwise sums."""
     total = m.p ** m.dim
@@ -409,15 +377,11 @@ def _lattice(m: RightModule, total: int) -> SubmoduleLattice:
     seen: dict[bytes, np.ndarray] = {}
     zero = linalg.zeros(0, m.dim)
     seen[zero.tobytes()] = zero
-    if p == 2:
-        for basis in _cyclic_bases_gf2(m, total):
+    # 2048 codes a block bound each transient (block, dim R, dim M) acted stack
+    for block in linalg.coeff_blocks(total, m.dim, p, block=2048):
+        acted = m.act_rows(block).reshape(block.shape[0], m.ring.dim, m.dim)
+        for basis in linalg.distinct_row_spaces(acted, p):
             seen.setdefault(basis.tobytes(), basis)
-    else:
-        for _, block in linalg.coeff_blocks(total, m.dim, p):
-            acted = m.act_rows(block).reshape(block.shape[0], m.ring.dim, m.dim)
-            for t in range(block.shape[0]):
-                basis = linalg.row_space(acted[t], p)
-                seen.setdefault(basis.tobytes(), basis)
     # close under pairwise sums, breadth-first until stable
     frontier = list(seen.values())
     cyclics = list(seen.values())
@@ -462,16 +426,12 @@ def radical_series_dims(m: RightModule) -> tuple[int, ...]:
     """Dims of M, M*J, M*J^2, ... down to zero."""
     dims = [m.dim]
     current = m
-    guard = 0
     while dims[-1] > 0:
         sub = radical_submodule(current)
         if sub.dim == dims[-1]:
             raise ValueError("radical series does not terminate (non-nilpotent radical)")
         dims.append(sub.dim)
         current = sub.as_module()
-        guard += 1
-        if guard > m.dim + 1:
-            raise ValueError("radical series too long")
     return tuple(dims)
 
 
@@ -516,7 +476,7 @@ def essential_oracle(n: Submodule, m: RightModule,
     _check_sub(n, m)
     total = m.p ** m.dim
     check_guard(f"essentiality oracle on {m.name}", total, max_vectors)
-    for _, block in linalg.coeff_blocks(total, m.dim, m.p):
+    for block in linalg.coeff_blocks(total, m.dim, m.p):
         for v in block:
             if not np.any(v):
                 continue
@@ -579,7 +539,7 @@ def is_simple(m: RightModule, max_vectors: int = 2 ** 16) -> bool:
         return False
     total = m.p ** m.dim
     check_guard(f"simplicity scan of {m.name}", total, max_vectors)
-    for _, block in linalg.coeff_blocks(total, m.dim, m.p):
+    for block in linalg.coeff_blocks(total, m.dim, m.p):
         for v in block:
             if not np.any(v):
                 continue
@@ -608,7 +568,7 @@ def _minimal_inside(m: RightModule, max_vectors: int) -> Submodule:
     total = m.p ** m.dim
     check_guard(f"minimal submodule scan of {m.name}", total, max_vectors)
     current: np.ndarray | None = None
-    for _, block in linalg.coeff_blocks(total, m.dim, m.p):
+    for block in linalg.coeff_blocks(total, m.dim, m.p):
         for v in block:
             if np.any(v):
                 current = cyclic_submodule_basis(m, v)
@@ -619,7 +579,7 @@ def _minimal_inside(m: RightModule, max_vectors: int) -> Submodule:
     while True:
         sub_total = m.p ** current.shape[0]
         descended = False
-        for _, block in linalg.coeff_blocks(sub_total, current.shape[0], m.p):
+        for block in linalg.coeff_blocks(sub_total, current.shape[0], m.p):
             vs = linalg.matmul_mod(block, current, m.p)
             for v in vs:
                 if not np.any(v):
@@ -703,7 +663,7 @@ def iso_test(m: RightModule, n: RightModule,
         return None
     total = m.p ** k
     if total <= max_iso:
-        for _, block in linalg.coeff_blocks(total, k, m.p):
+        for block in linalg.coeff_blocks(total, k, m.p):
             cands = linalg.combine(block, homs, m.p)
             for t in range(cands.shape[0]):
                 if linalg.rank(cands[t], m.p) == m.dim:

@@ -279,10 +279,10 @@ def apply_functor(prog: Progenerator, m: RightModule) -> TransportedModule:
     """Hom(P, M) with right S-action by precomposition."""
     if m.ring is not prog.ring:
         raise ValueError("module is not over the progenerator's ring")
-    key = ("transported", id(m))
-    cached = prog.module._cache.get(key)
-    if cached is not None and cached[0] is m:
-        return cached[1]
+    return memo(prog.module._cache, ("transported", m), lambda: _transport(prog, m))
+
+
+def _transport(prog: Progenerator, m: RightModule) -> TransportedModule:
     p = prog.ring.p
     end_data = end_algebra(prog.module, projective=True)
     s_alg = end_data.algebra
@@ -298,9 +298,7 @@ def apply_functor(prog: Progenerator, m: RightModule) -> TransportedModule:
             raise ValueError("hom space not closed under precomposition")
         action[j] = coeffs
     image = RightModule(s_alg, action, name=f"F({m.name})")
-    result = TransportedModule(prog, m, image, mats)
-    prog.module._cache[key] = (m, result)
-    return result
+    return TransportedModule(prog, m, image, mats)
 
 
 def transport_submodule(tr: TransportedModule, n: Submodule) -> Submodule:

@@ -3,8 +3,9 @@ The verification suite: corpus expectations, structural invariants and
 the transport theorems, evaluated exhaustively at desk scale.
 
 Each family returns a list of {"name", "status", "detail"} records with
-status "pass", "fail" or "partial" (guard exhaustion: excluded from
-theorem assertions rather than silently truncated).  run_suite stitches
+status "pass", "fail", "partial" (guard exhaustion: excluded from
+theorem assertions rather than silently truncated) or "inconclusive"
+(an isomorphism search ran out of samples).  run_suite stitches
 the families together for the CLI; the acceptance tests call the
 criterion functions directly.
 """
@@ -28,7 +29,7 @@ from .conditions import (
     serialize_value,
 )
 from .corpus import corpus_builtin, corpus_rings
-from .guards import Guards, DEFAULT_GUARDS, GuardExceeded, TheoremViolation
+from .guards import Guards, DEFAULT_GUARDS, FAILURE_STATUS
 from .modules import (
     all_submodules,
     classical_predicates,
@@ -59,14 +60,14 @@ def _record(name, ok, detail=""):
 
 
 def run_check(name, check) -> list:
-    """The records check() yields; a guard hit ends them with one
-    partial record under the given name."""
+    """The records check() yields; a failure kind of guards.FAILURE_STATUS
+    ends them with one record of its status under the given name."""
     records = []
     try:
         for record in check():
             records.append(record)
-    except GuardExceeded as exc:
-        records.append({"name": name, "status": "partial", "detail": str(exc)})
+    except tuple(FAILURE_STATUS) as exc:
+        records.append({"name": name, "status": FAILURE_STATUS[type(exc)], "detail": str(exc)})
     return records
 
 
@@ -236,22 +237,18 @@ def criterion_obstruction_index(guards: Guards = DEFAULT_GUARDS) -> list:
 def criterion_strong_decomposition(guards: Guards = DEFAULT_GUARDS) -> list:
     def records(entry):
         m = entry.module
-        name = f"strong-decomposition:{entry.name}"
-        try:
-            if not is_strongly_c4star(m, guards=guards):
-                return []
-            p_part, q_part = decompose_strong(m, guards=guards)
-            p_mod, q_mod = p_part.as_module(), q_part.as_module()
-            clauses = (
-                is_semisimple(p_mod),
-                is_summand_square_free(q_mod, guards.max_end_enumeration,
-                                       guards.max_iso_search, guards.rng_seed),
-                is_orthogonal(p_mod, q_mod, guards.max_lattice_vectors),
-                hom_vanishes(p_mod, q_mod),
-            )
-        except TheoremViolation as exc:
-            return [_record(name, False, str(exc))]
-        return [_record(name, all(clauses),
+        if not is_strongly_c4star(m, guards=guards):
+            return []
+        p_part, q_part = decompose_strong(m, guards=guards)
+        p_mod, q_mod = p_part.as_module(), q_part.as_module()
+        clauses = (
+            is_semisimple(p_mod),
+            is_summand_square_free(q_mod, guards.max_end_enumeration,
+                                   guards.max_iso_search, guards.rng_seed),
+            is_orthogonal(p_mod, q_mod, guards.max_lattice_vectors),
+            hom_vanishes(p_mod, q_mod),
+        )
+        return [_record(f"strong-decomposition:{entry.name}", all(clauses),
                         f"dims ({p_part.dim},{q_part.dim}), clauses {clauses}")]
     return _each_entry("strong-decomposition", records)
 

@@ -234,3 +234,47 @@ def test_analyze_rejects_bad_extensions_before_computing(
     result = runner.invoke(main, ["analyze", mixed_module_file, "--extensions", extensions])
     assert result.exit_code == 2
     assert result.output == f"error: --extensions: {message}\n"
+
+
+def test_theorem_violation_exits_1_with_one_line(runner, r2_file, monkeypatch):
+    from c4lab import conditions
+    from c4lab.guards import TheoremViolation
+
+    # R = F2[x]/(x^2) is strongly C4*, so analyze decomposes it
+    def violated(*args, **kwargs):
+        raise TheoremViolation("summand leaked outside the module")
+    monkeypatch.setattr(conditions, "decompose_strong", violated)
+    result = runner.invoke(main, ["analyze", r2_file, "--ring"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "theorem violation: summand leaked outside the module\n"
+
+
+def test_morita_theorem_violation_exits_1_with_one_line(runner, mixed_module_file,
+                                                       monkeypatch):
+    from c4lab import cli
+    from c4lab.guards import TheoremViolation
+
+    def violated(*args, **kwargs):
+        raise TheoremViolation("endomorphism bridge is not bijective")
+    monkeypatch.setattr(cli, "morita_pair_check", violated)
+    result = runner.invoke(main, ["morita", mixed_module_file, "--matrix", "2"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "theorem violation: endomorphism bridge is not bijective\n"
+
+
+@pytest.mark.parametrize("statuses, code", [
+    (("pass", "partial"), 0),
+    (("pass", "inconclusive", "partial"), 3),
+    (("fail", "inconclusive"), 1),
+])
+def test_suite_exit_code_after_the_full_report(runner, monkeypatch, statuses, code):
+    from c4lab import cli
+
+    records = [{"name": f"check{i}", "status": s, "detail": ""}
+               for i, s in enumerate(statuses)]
+    monkeypatch.setattr(cli, "run_suite", lambda guards, name_filter: records)
+    result = runner.invoke(main, ["suite"])
+    assert result.exit_code == code
+    assert result.output.splitlines()[-1].startswith(f"{len(records)} checks,")

@@ -69,3 +69,23 @@ def test_known_radical_answers_above_the_bound():
     m2 = _m2()
     assert jacobson_radical(m2, guard=1).dim == 0
     assert jacobson_radical(m2, guard=1).dim == 0
+
+
+def test_caches_live_in_guards():
+    """No module but guards reads or writes a `_cache` dict itself: every
+    cache goes through guards.memo."""
+    import ast
+    import pathlib
+
+    from c4lab import guards
+
+    found = []
+    for path in sorted(pathlib.Path(guards.__file__).parent.glob("*.py")):
+        if path.name == "guards.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Subscript, ast.Attribute)) and \
+                    isinstance(node.value, ast.Attribute) and node.value.attr == "_cache":
+                if isinstance(node, ast.Subscript) or node.attr == "get":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -280,3 +280,34 @@ def test_gf_products_live_in_linalg():
             elif isinstance(node, ast.Name) and node.id in products:
                 found.append(f"{path.name}:{node.lineno}: {node.id}")
     assert not found, found
+
+
+def test_gf2_elimination_lives_in_linalg():
+    """No module but linalg XORs packed rows: every elimination, the
+    packed GF(2) ones included, is a linalg kernel."""
+    import ast
+    import pathlib
+
+    found = []
+    for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.BitXor):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+@pytest.mark.parametrize("p, rows, cols", [(2, 3, 4), (2, 2, 70), (3, 3, 3), (5, 2, 4)])
+def test_distinct_row_spaces_matches_row_space(p, rows, cols):
+    rng = np.random.default_rng(p * cols)
+    # few distinct entries, so row spaces repeat across the stack
+    stack = rng.integers(0, p, size=(300, rows, cols)) * rng.integers(0, 2, size=(300, rows, 1))
+    stack = np.concatenate([np.zeros((1, rows, cols), dtype=np.int64), stack % p])
+    expected = {}
+    for mat in stack:
+        basis = linalg.row_space(mat, p)
+        expected.setdefault(basis.tobytes(), basis)
+    got = linalg.distinct_row_spaces(stack, p)
+    assert [b.tobytes() for b in got] == list(expected)
+    assert all(b.shape == e.shape for b, e in zip(got, expected.values()))

@@ -1,10 +1,15 @@
+import functools
 import json
 
-from c4lab.corpus import CorpusEntry, Expectation, corpus_rings
-from c4lab.guards import DEFAULT_GUARDS, Guards
+import pytest
+
+from c4lab import conditions
+from c4lab.corpus import CorpusEntry, Expectation, corpus_rings, local_square_zero_algebra
+from c4lab.guards import (DEFAULT_GUARDS, GuardExceeded, Guards, IsoInconclusive,
+                          TheoremViolation)
 from c4lab.modules import regular_module
 from c4lab.reports import render_suite_report, suite_report_dict, write_structured
-from c4lab.suite import FAMILIES, corpus_expectation_checks, run_suite
+from c4lab.suite import FAMILIES, corpus_expectation_checks, run_check, run_suite
 
 
 def test_family_names_are_distinct():
@@ -79,3 +84,33 @@ def test_tiny_guards_leave_every_family_partial_not_raising():
     negative = [r for r in results if r["name"] == "c4-invariance:negative-instance"]
     assert [r["status"] for r in negative] == ["partial"]
     assert "bound 1" in negative[0]["detail"]
+
+
+@pytest.mark.parametrize("exc, status", [
+    (GuardExceeded("scan", 2, 1), "partial"),
+    (IsoInconclusive("no isomorphism found"), "inconclusive"),
+    (TheoremViolation("bridge is not bijective"), "fail"),
+])
+def test_run_check_records_each_failure_kind(exc, status):
+    def check():
+        yield {"name": "first", "status": "pass", "detail": ""}
+        raise exc
+    assert run_check("check", check) == [
+        {"name": "first", "status": "pass", "detail": ""},
+        {"name": "check", "status": status, "detail": str(exc)},
+    ]
+
+
+def test_inconclusive_search_is_a_record_not_an_abort(monkeypatch):
+    # F2[x,y]/(x,y)^2: the swCS scan compares its three socle lines, and
+    # with no samples that isomorphism search is inconclusive
+    monkeypatch.setattr(conditions, "iso_test",
+                        functools.partial(conditions.iso_test, sample_budget=0))
+    ring = local_square_zero_algebra(2, 2)
+    entry = CorpusEntry("k.reg", ring, regular_module(ring), {
+        "swCS": Expectation(True, "TRIVIAL"),
+    })
+    (record,) = corpus_expectation_checks(Guards(max_iso_search=1), entries=[entry])
+    assert record["name"] == "corpus:k.reg:swCS"
+    assert record["status"] == "inconclusive"
+    assert record["detail"].startswith("no isomorphism found")
