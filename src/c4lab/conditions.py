@@ -80,17 +80,24 @@ def _end_scan(m: RightModule, homs: np.ndarray, total: int) -> tuple[Decompositi
         zero = m.zero_submodule()
         out.append(Decomposition(m, zero, zero,
                                  ModuleHom(m, m, linalg.zeros(0, 0), check=False)))
-    else:
-        for block in linalg.coeff_blocks(total, k, m.p):
-            cands = linalg.combine(block, homs, m.p)
-            sq = linalg.matmul_mod(cands, cands, m.p)
-            mask = np.all(sq == cands, axis=(1, 2))
-            for t in np.nonzero(mask)[0]:
-                e = cands[t]
-                image = Submodule(m, linalg.row_space(e, m.p), check=False)
-                kernel = Submodule(m, linalg.left_nullspace(e, m.p), check=False)
-                out.append(Decomposition(m, image, kernel,
-                                         ModuleHom(m, m, e, check=False)))
+        return tuple(out)
+    # one Submodule object per summand: the kernel of e is the image of the
+    # idempotent 1 - e, and sharing the objects shares their cached
+    # abstract modules and hom spaces across decompositions
+    summands: dict[bytes, Submodule] = {}
+
+    def summand(basis):
+        return memo(summands, basis.tobytes(), lambda: Submodule(m, basis, check=False))
+
+    for block in linalg.coeff_blocks(total, k, m.p):
+        cands = linalg.combine(block, homs, m.p)
+        sq = linalg.matmul_mod(cands, cands, m.p)
+        mask = np.all(sq == cands, axis=(1, 2))
+        for t in np.nonzero(mask)[0]:
+            e = cands[t]
+            out.append(Decomposition(m, summand(linalg.row_space(e, m.p)),
+                                     summand(linalg.left_nullspace(e, m.p)),
+                                     ModuleHom(m, m, e, check=False)))
     return tuple(out)
 
 
@@ -430,18 +437,34 @@ def is_c4_m(m: RightModule, arity: int, rule_id: str = DEFAULT_RULE_ID,
     """Chain version: for chains A_1,...,A_arity of summands in which each
     consecutive pair is complementary, every injective consecutive run
     f_j o ... o f_i must have a direct-summand image.  At arity 2 this
-    is literally the binary condition."""
+    is literally the binary condition under the given rule; at arity >= 3
+    the chain condition is defined for the default rule only.
+
+    The scan keeps, for each chain and start i, a frontier of the distinct
+    injective composites A_i -> A_{j+1}: the injective maps of
+    Hom(A_i, A_{i+1}), then each frontier extended by every map of the
+    next hom space.  Composites are deduplicated by their bytes, and a
+    non-injective one is dropped: if x f = 0 for some x != 0 then
+    x f g = 0 too, so no extension of it is injective (nor is any run
+    through a summand of smaller dimension than A_i).  Each distinct
+    image is tested for being a summand once per scan.  The runs checked
+    are exactly the injective runs of all p^(sum of hom dims) tuples of a
+    chain, so the verdict equals that of enumerating the tuples."""
     if arity < 2:
         raise ValueError("arity must be >= 2")
     if arity == 2:
         return is_c4(m, rule_id, guards)
+    if rule_id != DEFAULT_RULE_ID:
+        raise ValueError(f"the {arity}-ary chain condition is defined only for "
+                         f"the rule {DEFAULT_RULE_ID!r}, not {rule_id!r}")
     decs = enumerate_decompositions(m, guards.max_end_enumeration)
-    return memo(m._cache, ("c4m", arity, rule_id),
-                lambda: _c4_m_scan(m, arity, decs, guards))
+    return memo(m._cache, ("c4m", arity), lambda: _c4_m_scan(m, arity, decs, guards))
 
 
 def _c4_m_scan(m: RightModule, arity: int, decs, guards: Guards) -> bool:
-    # summand key -> the summand A and every B with M = A + B
+    # summand key -> the summand A and every B with M = A + B; the End scan
+    # makes one object per summand, so chain members reuse the abstract
+    # modules and hom spaces that def_c4 cached on them
     summand: dict[bytes, Submodule] = {}
     comp: dict[bytes, list[Submodule]] = {}
     for dec in decs:
@@ -464,40 +487,102 @@ def _c4_m_scan(m: RightModule, arity: int, decs, guards: Guards) -> bool:
     for key in sorted(summand):
         extend([summand[key]])
 
+    scan = _ChainScan(m)
     for chain in chains:
         mods = [s.as_module() for s in chain]
-        hom_stacks = [hom_space_matrices(mods[i], mods[i + 1])
-                      for i in range(arity - 1)]
-        dims = [h.shape[0] for h in hom_stacks]
-        total = m.p ** sum(dims)
-        check_guard(f"hom scan on an {arity}-ary chain of {m.name}", total,
-                    guards.max_hom_scan)
-        if not _chain_ok(m, chain, mods, hom_stacks, dims, total):
+        dims = [hom_space_matrices(mods[i], mods[i + 1]).shape[0]
+                for i in range(arity - 1)]
+        check_guard(f"hom scan on an {arity}-ary chain of {m.name}",
+                    m.p ** sum(dims), guards.max_hom_scan)
+        if not scan.chain_ok(chain):
             return False
     return True
 
 
-def _chain_ok(m, chain, mods, hom_stacks, dims, total) -> bool:
-    p = m.p
-    width = sum(dims)
-    for block in linalg.coeff_blocks(total, width, p):
-        for row in block:
-            mats = []
-            pos = 0
-            for stack, k in zip(hom_stacks, dims):
-                mats.append(linalg.combine(row[pos:pos + k], stack, p))
-                pos += k
-            for i in range(len(mats)):
-                run = mats[i]
-                for j in range(i, len(mats)):
-                    if j > i:
-                        run = linalg.matmul_mod(run, mats[j], p)
-                    if linalg.rank(run, p) != mods[i].dim:
-                        continue  # not injective, the rule does not fire
-                    image = Submodule(m, chain[j + 1].to_parent(run), check=False)
-                    if is_summand(image, m) is None:
+class _ChainScan:
+    """The frontier scan of one module's chains, with the state the chains
+    share: each pair's hom basis and injective maps, and the images
+    already known to be summands."""
+
+    def __init__(self, m: RightModule):
+        self.m = m
+        self.pairs: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray | None]] = {}
+        self.split: set[bytes] = set()
+
+    def maps(self, homs: np.ndarray):
+        """Every map of a hom space, one coeff_blocks block at a time."""
+        p, k = self.m.p, homs.shape[0]
+        for coeffs in linalg.coeff_blocks(p ** k, k, p):
+            yield linalg.combine(coeffs, homs, p)
+
+    def pair(self, a: Submodule, b: Submodule):
+        """(basis of Hom(A, B), its injective maps), once per pair; the
+        injective maps are None when one of their images is not a summand."""
+        def build():
+            homs = hom_space_matrices(a.as_module(), b.as_module())
+            seeds = np.concatenate([maps[linalg.batch_rank(maps, self.m.p) == a.dim]
+                                    for maps in self.maps(homs)])
+            return homs, seeds if self.images_split(seeds, b) else None
+        return memo(self.pairs, (a.key(), b.key()), build)
+
+    def images_split(self, maps: np.ndarray, target: Submodule) -> bool:
+        """Whether every map of a stack of injective maps into the summand
+        target has a direct-summand image in M."""
+        m = self.m
+        for basis in linalg.distinct_row_spaces(target.to_parent(maps), m.p):
+            key = basis.tobytes()
+            if key not in self.split:
+                if is_summand(Submodule(m, basis, check=False), m) is None:
+                    return False
+                self.split.add(key)
+        return True
+
+    def extend(self, frontier: np.ndarray, homs: np.ndarray) -> np.ndarray:
+        """The distinct injective composites f then g, f in a nonempty
+        frontier and g in Hom(A_j, A_{j+1})."""
+        p, (rows, cols) = self.m.p, (frontier.shape[1], homs.shape[2])
+        out = []
+        for maps in self.maps(homs):
+            # about one block of products at a time bounds the transients
+            step = max(1, 4096 // maps.shape[0])
+            for lo in range(0, frontier.shape[0], step):
+                prods = linalg.matmul_mod(frontier[lo:lo + step, None], maps[None], p)
+                prods = prods.reshape(prods.shape[0] * prods.shape[1], rows, cols)
+                out.append(_distinct(prods[linalg.batch_rank(prods, p) == rows]))
+        return _distinct(np.concatenate(out))
+
+    def chain_ok(self, chain: list[Submodule]) -> bool:
+        """Whether every injective run along the chain has a summand image."""
+        for i in range(len(chain) - 1):
+            a = chain[i].dim
+            if a == 0:
+                continue  # every run from 0 is injective with image 0, a summand
+            for j in range(i, len(chain) - 1):
+                if chain[j + 1].dim < a:
+                    break  # no run through a smaller summand is injective
+                homs, seeds = self.pair(chain[j], chain[j + 1])
+                if seeds is None:
+                    return False  # the one-map run f_j already fails
+                if j == i:
+                    frontier = seeds
+                else:
+                    frontier = self.extend(frontier, homs)
+                    if not self.images_split(frontier, chain[j + 1]):
                         return False
-    return True
+                if not frontier.shape[0]:
+                    break
+        return True
+
+
+def _distinct(stack: np.ndarray) -> np.ndarray:
+    """The distinct matrices of an (n, r, c) stack, in order of first
+    occurrence; for n >= 2, r * c must be positive."""
+    if stack.shape[0] < 2:
+        return stack
+    flat = np.ascontiguousarray(stack.reshape(stack.shape[0], -1))
+    rows = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+    _, first = np.unique(rows, return_index=True)
+    return stack[np.sort(first)]
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,26 @@ def test_pluggable_rule(ms):
         get_rule("no-such-rule")
 
 
+def test_chain_condition_takes_only_the_default_rule(plane):
+    # under a rule that calls every datum a defect, F2 + F2 fails C4 and
+    # C4[2]; C4[m] for m >= 3 is only defined for the default rule, so it
+    # refuses rather than answer with the default rule's verdict
+    rule_id = "every-datum-a-defect"
+    try:
+        get_rule(rule_id)
+    except ValueError:
+        register_rule(WitnessRule(rule_id, "test rule",
+                                  lambda parent, dec, f, kernel, image: ("defect", "any")))
+    assert not is_c4(plane, rule_id=rule_id)
+    assert not is_c4_m(plane, 2, rule_id=rule_id)
+    for arity in (3, 4):
+        with pytest.raises(ValueError, match="defined only for the rule 'mono-image-splits'"):
+            is_c4_m(plane, arity, rule_id=rule_id)
+        with pytest.raises(ValueError, match="defined only for the rule"):
+            check_extended(plane, arity, 1, rule_id=rule_id)
+    assert is_c4_m(plane, 3)
+
+
 def test_summand_list_is_deduplicated(ms):
     summands = summand_list(ms)
     keys = [s.key() for s in summands]

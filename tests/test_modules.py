@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from c4lab import linalg
 from c4lab.algebra import field_algebra, matrix_algebra, poly_quotient_algebra
 from c4lab.corpus import simple_modules
 from c4lab.guards import IsoInconclusive
@@ -308,3 +309,40 @@ def test_is_closed(reg, s, reg_plus_s):
     assert is_closed(s.zero_submodule(), s)
     s_comp = submodule_span(reg_plus_s, [[0, 0, 1]])
     assert is_closed(s_comp, reg_plus_s)
+
+
+def _rref_projection(basis, p):
+    """The quotient projection from an elimination of the basis: a
+    reference for the pivots quotient_projection reads off the basis."""
+    red, piv = linalg.rref(basis, p) if basis.shape[0] else (basis, [])
+    nonpiv = [c for c in range(basis.shape[1]) if c not in piv]
+    red = red[:len(piv), nonpiv]
+    return nonpiv, lambda rows: (rows[:, nonpiv] - linalg.matmul_mod(rows[:, piv], red, p)) % p
+
+
+def test_quotients_match_an_eliminated_basis_on_the_corpus():
+    from c4lab.algebra import jacobson_radical, quotient_algebra
+    from c4lab.corpus import corpus_builtin, corpus_rings
+
+    # every lattice member of every corpus module; every corpus ring by its radical
+    count = 0
+    for entry in corpus_builtin():
+        m = entry.module
+        for n in all_submodules(m).members:
+            quot, proj = quotient_module(m, n)
+            nonpiv, project = _rref_projection(n.basis, m.p)
+            k = len(nonpiv)
+            action = project(m.action[:, nonpiv].reshape(-1, m.dim)).reshape(m.ring.dim, k, k)
+            assert np.array_equal(quot.action, action)
+            assert np.array_equal(proj.matrix, project(linalg.eye(m.dim)))
+            count += 1
+    assert count > 200
+    for ring in corpus_rings().values():
+        rad = jacobson_radical(ring)
+        quot, project = quotient_algebra(ring, rad)
+        nonpiv, ref = _rref_projection(rad.basis, ring.p)
+        k = len(nonpiv)
+        assert np.array_equal(quot.sc, ref(ring.sc[np.ix_(nonpiv, nonpiv)].reshape(k * k, ring.dim))
+                              .reshape(k, k, k))
+        assert np.array_equal(quot.one, ref(ring.one.reshape(1, -1))[0])
+        assert np.array_equal(project(linalg.eye(ring.dim)), ref(linalg.eye(ring.dim)))
