@@ -8,6 +8,11 @@ that sit the submodule-level closure (every submodule passes), the
 semisimple-pair essentiality condition with its obstruction pairs and
 index, the combined strong condition with its decomposition search, and
 the arity/depth extensions.
+
+The unit of the C4 scan is one decomposition's list of defect
+witnesses, cached per summand pair: `def_c4` concatenates them, and the
+chain condition C4[m] at arity >= 3 reads the same lists along each
+chain, which under the default rule decides it (see `is_c4_m`).
 """
 
 from __future__ import annotations
@@ -209,28 +214,36 @@ def def_c4(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
     decs = enumerate_decompositions(m, guards.max_end_enumeration)
     for dec in decs:
         check_guard(f"hom scan on a decomposition of {m.name}",
-                    m.p ** hom_space_matrices(dec.a.as_module(),
-                                              dec.b.as_module()).shape[0],
-                    guards.max_hom_scan)
-    return memo(m._cache, ("def_c4", rule_id), lambda: _hom_scan(m, decs, rule_id))
+                    m.p ** _hom_dim(dec), guards.max_hom_scan)
+    return tuple(rec for dec in decs for rec in _dec_defects(m, dec, rule_id))
 
 
-def _hom_scan(m: RightModule, decs, rule_id: str) -> tuple[WitnessRecord, ...]:
-    defects = []
-    for dec in decs:
+def _hom_dim(dec: Decomposition) -> int:
+    return hom_space_matrices(dec.a.as_module(), dec.b.as_module()).shape[0]
+
+
+def _dec_defects(m: RightModule, dec: Decomposition,
+                 rule_id: str) -> tuple[WitnessRecord, ...]:
+    """The defect witnesses f: A -> B of one decomposition M = A + B.
+
+    Callers check the hom-scan guard p^(dim Hom(A, B)) first: `def_c4`
+    checks it for every decomposition, and a chain's bound on the sum of
+    its hom dims covers each of its decompositions."""
+    def scan():
         a_mod = dec.a.as_module()
         b_mod = dec.b.as_module()
         homs = hom_space_matrices(a_mod, b_mod)
         k = homs.shape[0]
-        total = m.p ** k
-        for block in linalg.coeff_blocks(total, k, m.p):
+        defects = []
+        for block in linalg.coeff_blocks(m.p ** k, k, m.p):
             mats = linalg.combine(block, homs, m.p)
             for t in range(mats.shape[0]):
                 f = ModuleHom(a_mod, b_mod, mats[t], check=False)
                 rec = evaluate_witness(m, dec, f, rule_id)
                 if rec.verdict == "defect":
                     defects.append(rec)
-    return tuple(defects)
+        return tuple(defects)
+    return memo(m._cache, ("defects", rule_id, dec.a.key(), dec.b.key()), scan)
 
 
 def is_c4(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
@@ -440,16 +453,21 @@ def is_c4_m(m: RightModule, arity: int, rule_id: str = DEFAULT_RULE_ID,
     is literally the binary condition under the given rule; at arity >= 3
     the chain condition is defined for the default rule only.
 
-    The scan keeps, for each chain and start i, a frontier of the distinct
-    injective composites A_i -> A_{j+1}: the injective maps of
-    Hom(A_i, A_{i+1}), then each frontier extended by every map of the
-    next hom space.  Composites are deduplicated by their bytes, and a
-    non-injective one is dropped: if x f = 0 for some x != 0 then
-    x f g = 0 too, so no extension of it is injective (nor is any run
-    through a summand of smaller dimension than A_i).  Each distinct
-    image is tested for being a summand once per scan.  The runs checked
-    are exactly the injective runs of all p^(sum of hom dims) tuples of a
-    chain, so the verdict equals that of enumerating the tuples."""
+    A chain passes exactly when none of its arity - 1 decompositions
+    M = A_i + A_{i+1} has a C4 defect.  A_i and A_{i+2} are complements of
+    the same A_{i+1}, so they have the same dimension, and an injective
+    two-map run f_{i+1} o f_i is a bijection onto A_{i+2}.  So an injective
+    run of even length has the image A_{j+1}, and one of odd length is a
+    bijection onto A_j followed by an injective f_j, with the image of f_j:
+    every run has a summand image once every injective one-map run has.
+    Those are C4's own test data, so C4[m] holds exactly when C4 does (as
+    also follows from C4 itself: if X = im f_1 is a summand inside
+    A_2 = X + Y, then f_2 restricted to X is an injective map from X into
+    its complement Y + A_3, so C4 makes im(f_2 o f_1) a summand; induct on
+    the run length).  Since each chain passes or fails as its runs do, the
+    chains are walked in scan order under the chain-count guard and each
+    chain's p^(sum of hom dims) guard, and every guarded outcome is that of
+    a scan of every hom tuple of every chain."""
     if arity < 2:
         raise ValueError("arity must be >= 2")
     if arity == 2:
@@ -458,131 +476,45 @@ def is_c4_m(m: RightModule, arity: int, rule_id: str = DEFAULT_RULE_ID,
         raise ValueError(f"the {arity}-ary chain condition is defined only for "
                          f"the rule {DEFAULT_RULE_ID!r}, not {rule_id!r}")
     decs = enumerate_decompositions(m, guards.max_end_enumeration)
-    return memo(m._cache, ("c4m", arity), lambda: _c4_m_scan(m, arity, decs, guards))
-
-
-def _c4_m_scan(m: RightModule, arity: int, decs, guards: Guards) -> bool:
-    # summand key -> the summand A and every B with M = A + B; the End scan
-    # makes one object per summand, so chain members reuse the abstract
-    # modules and hom spaces that def_c4 cached on them
-    summand: dict[bytes, Submodule] = {}
-    comp: dict[bytes, list[Submodule]] = {}
-    for dec in decs:
-        summand.setdefault(dec.a.key(), dec.a)
-        comp.setdefault(dec.a.key(), []).append(dec.b)
-
-    chains: list[list[Submodule]] = []
-
-    def extend(chain):
-        if len(chain) == arity:
-            chains.append(list(chain))
-            check_guard(f"{arity}-ary chain enumeration on {m.name}",
-                        len(chains), guards.max_end_enumeration)
-            return
-        for nxt in comp[chain[-1].key()]:
-            chain.append(nxt)
-            extend(chain)
-            chain.pop()
-
-    for key in sorted(summand):
-        extend([summand[key]])
-
-    scan = _ChainScan(m)
-    for chain in chains:
-        mods = [s.as_module() for s in chain]
-        dims = [hom_space_matrices(mods[i], mods[i + 1]).shape[0]
-                for i in range(arity - 1)]
+    # the count guard trips before any chain is checked; counting on a
+    # first walk keeps no chain alive
+    for count, _ in enumerate(_chains(decs, arity - 1), 1):
+        check_guard(f"{arity}-ary chain enumeration on {m.name}",
+                    count, guards.max_end_enumeration)
+    dims = [_hom_dim(dec) for dec in decs]
+    clean: set[int] = set()
+    for chain in _chains(decs, arity - 1):
         check_guard(f"hom scan on an {arity}-ary chain of {m.name}",
-                    m.p ** sum(dims), guards.max_hom_scan)
-        if not scan.chain_ok(chain):
-            return False
+                    m.p ** sum(dims[i] for i in chain), guards.max_hom_scan)
+        for i in chain:
+            if i not in clean:
+                if _dec_defects(m, decs[i], rule_id):
+                    return False
+                clean.add(i)
     return True
 
 
-class _ChainScan:
-    """The frontier scan of one module's chains, with the state the chains
-    share: each pair's hom basis and injective maps, and the images
-    already known to be summands."""
-
-    def __init__(self, m: RightModule):
-        self.m = m
-        self.pairs: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray | None]] = {}
-        self.split: set[bytes] = set()
-
-    def maps(self, homs: np.ndarray):
-        """Every map of a hom space, one coeff_blocks block at a time."""
-        p, k = self.m.p, homs.shape[0]
-        for coeffs in linalg.coeff_blocks(p ** k, k, p):
-            yield linalg.combine(coeffs, homs, p)
-
-    def pair(self, a: Submodule, b: Submodule):
-        """(basis of Hom(A, B), its injective maps), once per pair; the
-        injective maps are None when one of their images is not a summand."""
-        def build():
-            homs = hom_space_matrices(a.as_module(), b.as_module())
-            seeds = np.concatenate([maps[linalg.batch_rank(maps, self.m.p) == a.dim]
-                                    for maps in self.maps(homs)])
-            return homs, seeds if self.images_split(seeds, b) else None
-        return memo(self.pairs, (a.key(), b.key()), build)
-
-    def images_split(self, maps: np.ndarray, target: Submodule) -> bool:
-        """Whether every map of a stack of injective maps into the summand
-        target has a direct-summand image in M."""
-        m = self.m
-        for basis in linalg.distinct_row_spaces(target.to_parent(maps), m.p):
-            key = basis.tobytes()
-            if key not in self.split:
-                if is_summand(Submodule(m, basis, check=False), m) is None:
-                    return False
-                self.split.add(key)
-        return True
-
-    def extend(self, frontier: np.ndarray, homs: np.ndarray) -> np.ndarray:
-        """The distinct injective composites f then g, f in a nonempty
-        frontier and g in Hom(A_j, A_{j+1})."""
-        p, (rows, cols) = self.m.p, (frontier.shape[1], homs.shape[2])
-        out = []
-        for maps in self.maps(homs):
-            # about one block of products at a time bounds the transients
-            step = max(1, 4096 // maps.shape[0])
-            for lo in range(0, frontier.shape[0], step):
-                prods = linalg.matmul_mod(frontier[lo:lo + step, None], maps[None], p)
-                prods = prods.reshape(prods.shape[0] * prods.shape[1], rows, cols)
-                out.append(_distinct(prods[linalg.batch_rank(prods, p) == rows]))
-        return _distinct(np.concatenate(out))
-
-    def chain_ok(self, chain: list[Submodule]) -> bool:
-        """Whether every injective run along the chain has a summand image."""
-        for i in range(len(chain) - 1):
-            a = chain[i].dim
-            if a == 0:
-                continue  # every run from 0 is injective with image 0, a summand
-            for j in range(i, len(chain) - 1):
-                if chain[j + 1].dim < a:
-                    break  # no run through a smaller summand is injective
-                homs, seeds = self.pair(chain[j], chain[j + 1])
-                if seeds is None:
-                    return False  # the one-map run f_j already fails
-                if j == i:
-                    frontier = seeds
-                else:
-                    frontier = self.extend(frontier, homs)
-                    if not self.images_split(frontier, chain[j + 1]):
-                        return False
-                if not frontier.shape[0]:
-                    break
-        return True
-
-
-def _distinct(stack: np.ndarray) -> np.ndarray:
-    """The distinct matrices of an (n, r, c) stack, in order of first
-    occurrence; for n >= 2, r * c must be positive."""
-    if stack.shape[0] < 2:
-        return stack
-    flat = np.ascontiguousarray(stack.reshape(stack.shape[0], -1))
-    rows = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
-    _, first = np.unique(rows, return_index=True)
-    return stack[np.sort(first)]
+def _chains(decs, length: int):
+    """Every sequence of length positions i_1, i_2, ... in decs with each
+    decs[i_{k+1}].a the summand decs[i_k].b: starts in order of summand
+    key, then depth first in decs order."""
+    after: dict[bytes, list[int]] = {}
+    for i, dec in enumerate(decs):
+        after.setdefault(dec.a.key(), []).append(i)
+    nxt = [after[dec.b.key()] for dec in decs]
+    for key in sorted(after):
+        chain, stack = [], [iter(after[key])]
+        while stack:
+            i = next(stack[-1], None)
+            if i is None:
+                stack.pop()
+                if chain:
+                    chain.pop()
+            elif len(chain) + 1 == length:
+                yield (*chain, i)
+            else:
+                chain.append(i)
+                stack.append(iter(nxt[i]))
 
 
 # ---------------------------------------------------------------------------

@@ -173,9 +173,7 @@ def end_algebra(p_mod: RightModule, projective: bool = False) -> EndData:
     mat(s*t) = mat(t) @ mat(s).  For projective P the radical is
     attached as {f : im f <= rad P}.
     """
-    # the projective entry, the one progenerators certify, is read as _cache["end_data"]
-    return memo(p_mod._cache, "end_data" if projective else "end_data_without_radical",
-                lambda: _end_data(p_mod, projective))
+    return memo(p_mod._cache, ("end_data", projective), lambda: _end_data(p_mod, projective))
 
 
 def _end_data(p_mod: RightModule, projective: bool) -> EndData:

@@ -1,19 +1,18 @@
-"""The C4[m] frontier scan against the tuple enumeration it replaced.
+"""The C4[m] chain scan against the tuple enumeration it replaced.
 
 `tuple_scan` is the former arity >= 3 path of `is_c4_m`, kept here as an
 independent oracle: it enumerates every tuple (f_1, ..., f_{m-1}) of the
 p^(sum of hom dims) tuples of each chain, then re-forms and re-ranks
-every consecutive run of every tuple.  Both run on a fresh copy of each
-module, so no C4[m] verdict is cached before either runs.
+every consecutive run of every tuple.  `is_c4_m` walks the same chains
+under the same guards but reads only each decomposition's C4 defects.
+Both run on a fresh copy of each module unless a test says otherwise.
 """
 
-import numpy as np
 import pytest
 
 from c4lab import linalg
 from c4lab.algebra import poly_quotient_algebra
 from c4lab.conditions import (
-    _ChainScan,
     build_defect_report,
     enumerate_decompositions,
     is_c4_m,
@@ -112,7 +111,8 @@ def outcome(fn, m, arity, guards=DEFAULT_GUARDS):
 
 
 def agree(modules, arity):
-    """Compare both scans on every module within the oracle's budget."""
+    """Compare both scans on every module within the oracle's budget,
+    under the default guards."""
     verdicts = []
     for m in map(fresh, modules):
         if not within_budget(m, arity):
@@ -132,43 +132,12 @@ def distinct_modules(modules):
 
 @pytest.mark.parametrize("arity", [3, 4])
 def test_frontier_matches_tuple_scan_on_the_corpus_and_its_lattices(arity):
+    # named after the frontier scan it first checked; the name keeps the test's id
     # every corpus module is the top member of its own lattice
     members = [x.as_module() for entry in corpus_builtin()
                for x in all_submodules(entry.module).members]
     verdicts = agree(distinct_modules(members), arity)
     assert len(verdicts) >= 40 and {True, False} <= set(verdicts)
-
-
-@pytest.mark.parametrize("arity", [3, 4])
-def test_frontiers_are_the_distinct_injective_runs(arity):
-    # a verdict cannot show a lost run on a module whose single maps
-    # already fail, so compare the runs themselves: from each start, the
-    # frontier after each step is exactly the set of injective composites
-    # over all tuples, each once, and an empty one stays empty
-    runs = 0
-    for entry in corpus_builtin():
-        m = fresh(entry.module)
-        if not within_budget(m, arity):
-            continue
-        scan, p = _ChainScan(m), m.p
-        for chain in chains_of(m, arity):
-            stacks = hom_stacks(chain)
-            for i, a in enumerate(s.dim for s in chain[:-1]):
-                if a == 0:
-                    continue  # the scan skips these starts: their runs all split
-                frontier = np.concatenate([maps[linalg.batch_rank(maps, p) == a]
-                                           for maps in scan.maps(stacks[i])])
-                composites = [np.eye(a, dtype=np.int64)]
-                for j in range(i, len(stacks)):
-                    if j > i and frontier.shape[0]:
-                        frontier = scan.extend(frontier, stacks[j])
-                    maps = np.concatenate(list(scan.maps(stacks[j])))
-                    composites = [linalg.matmul_mod(c, f, p) for c in composites for f in maps]
-                    want = {c.tobytes() for c in composites if linalg.rank(c, p) == a}
-                    got = [f.tobytes() for f in frontier]
-                    assert len(got) == len(set(got)) and set(got) == want
-                    runs += len(want)
-    assert runs > 1000
 
 
 def test_chains_through_a_zero_summand():
@@ -208,3 +177,38 @@ def test_a_failing_chain_returns_before_a_later_chains_guard():
     tighter = Guards(max_hom_scan=1)
     assert outcome(tuple_scan, m, 4, tighter) == outcome(is_c4_m, m, 4, tighter) == (
         "hom scan on an 4-ary chain of T2_reg+S2: needs 2 > bound 1")
+
+
+SWEEP = [Guards(max_hom_scan=hom, max_end_enumeration=end)
+         for hom in (1, 2, 4, 8, 16, DEFAULT_GUARDS.max_hom_scan)
+         for end in (4, 16, DEFAULT_GUARDS.max_end_enumeration)]
+
+
+@pytest.mark.parametrize("arity", [3, 4])
+def test_guarded_outcomes_match_tuple_scan(arity):
+    # the verdict or the exact GuardExceeded message, cold, under every
+    # combination of tight and default hom-scan and End-scan bounds
+    modules = [m for m in distinct_modules(e.module for e in corpus_builtin())
+               if within_budget(fresh(m), arity)]
+    outcomes = set()
+    for m in modules:
+        for guards in SWEEP:
+            want = outcome(tuple_scan, m, arity, guards)
+            assert outcome(is_c4_m, m, arity, guards) == want, (m.name, guards)
+            outcomes.add(want if isinstance(want, bool) else want.split(" ")[0])
+    # every guard trips somewhere; the chain count only trips at arity 4
+    kinds = {True, False, "hom", "endomorphism"} | ({"4-ary"} if arity == 4 else set())
+    assert len(modules) >= 15 and kinds <= outcomes
+
+
+def test_a_warm_verdict_still_checks_the_chain_guards():
+    # a verdict computed under the default guards is not returned from a
+    # cache under a bound it would exceed
+    m = fresh(corpus_module("r2.r2_reg+reg"))
+    verdict = is_c4_m(m, 3)
+    tight = Guards(max_hom_scan=8)
+    message = "hom scan on an 3-ary chain of r2_reg+reg: needs 16 > bound 8"
+    with pytest.raises(GuardExceeded) as exc:
+        is_c4_m(m, 3, guards=tight)
+    assert str(exc.value) == outcome(is_c4_m, m, 3, tight) == message
+    assert is_c4_m(m, 3) is verdict is tuple_scan(fresh(m), 3)

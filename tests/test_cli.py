@@ -75,6 +75,18 @@ def test_analyze_extension_grid(runner, r2_file):
     assert "extension m=3 d=2" in result.output
 
 
+def test_analyze_long_chains_exit_cleanly(runner, r2_file, tmp_path):
+    # 2000-member chains are walked without recursion, and C4[m] agrees
+    # with the binary cell
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["analyze", r2_file, "--ring",
+                                  "--extensions", "2,1;2000,1", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    short, long = json.loads(out.read_text())["extensions"]
+    assert (short["m"], long["m"]) == (2, 2000)
+    assert long["flags"]["C4_m"] is short["flags"]["C4_m"] is True
+
+
 def test_analyze_guard_override(runner, mixed_module_file, tmp_path):
     guards = tmp_path / "guards.json"
     guards.write_text(json.dumps({"max_lattice_vectors": 2}))

@@ -311,19 +311,3 @@ def test_distinct_row_spaces_matches_row_space(p, rows, cols):
     got = linalg.distinct_row_spaces(stack, p)
     assert [b.tobytes() for b in got] == list(expected)
     assert all(b.shape == e.shape for b, e in zip(got, expected.values()))
-
-
-@pytest.mark.parametrize("p", [2, 3, 2 ** 31 - 1])
-def test_batch_rank_matches_rank(p):
-    rng = np.random.default_rng(p % 1000)
-    for n, r, c in [(0, 3, 3), (0, 0, 0), (4, 0, 3), (4, 3, 0), (4, 0, 0),
-                    (200, 3, 4), (200, 4, 3), (100, 5, 5), (50, 1, 6), (50, 6, 1)]:
-        # rows zeroed at random, and products of thin factors, lower the rank
-        stack = rng.integers(0, p, size=(n, r, c)) * rng.integers(0, 2, size=(n, r, 1))
-        if n and r and c:
-            thin = linalg.matmul_mod(rng.integers(0, p, size=(n, r, 1)),
-                                     rng.integers(0, p, size=(n, 1, c)), p)
-            stack = np.concatenate([stack % p, thin])
-        ranks = linalg.batch_rank(stack % p, p)
-        assert ranks.dtype == np.int64 and ranks.shape == (stack.shape[0],)
-        assert ranks.tolist() == [linalg.rank(mat, p) for mat in stack % p]

@@ -61,7 +61,7 @@ def test_end_algebra_of_regular_is_base(r2, reg):
 
 
 def test_certified_matrix_iso(prog, r2):
-    data = prog.module._cache["end_data"]
+    data = end_algebra(prog.module, projective=True)
     assert data.algebra.dim == 8
     assert data.certified_iso is not None
     assert data.certified_iso["target"].name.startswith("M2(")
@@ -72,7 +72,7 @@ def test_certified_corner_iso():
     m2 = matrix_algebra(field_algebra(2), 2)
     e11 = np.array([1, 0, 0, 0])
     prog = build_progenerator(m2, ("corner", e11))
-    data = prog.module._cache["end_data"]
+    data = end_algebra(prog.module, projective=True)
     assert data.algebra.dim == 1  # e11 M2(F2) e11 ~ F2
     assert data.certified_iso is not None
 
@@ -82,7 +82,7 @@ def test_corner_end_radical_matches_corner_algebra(r2):
     e = np.zeros(big.dim, dtype=np.int64)
     e[: r2.dim] = r2.one
     prog = build_progenerator(big, ("corner", e))
-    data = prog.module._cache["end_data"]
+    data = end_algebra(prog.module, projective=True)
     assert data.algebra.dim == 2  # the corner is the base ring again
     # End radical (im f inside rad P) agrees with the corner radical e J e
     assert jacobson_radical(data.algebra).dim == \

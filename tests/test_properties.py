@@ -91,7 +91,8 @@ def test_flag_consistency_and_arity_reduction(idx):
     m = DERIVED[idx]
     assert is_c4(m) == (len(def_c4(m)) == 0)
     assert is_semiweak_cs(m) == (len(obs_swcs(m)) == 0)
-    assert is_c4_m(m, 2) == is_c4(m)
+    for arity in (2, 3, 4):
+        assert is_c4_m(m, arity) == is_c4(m)
     assert is_strongly_c4star(m) == (is_c4star(m) and is_semiweak_cs(m))
 
 
