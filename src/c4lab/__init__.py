@@ -48,7 +48,7 @@ from .conditions import (
     register_rule,
     strong_defect,
 )
-from .guards import Guards, GuardExceeded, IsoInconclusive, TheoremViolation
+from .guards import Guards, GuardExceeded, TheoremViolation
 from .modules import (
     ModuleHom,
     RightModule,

@@ -1,10 +1,9 @@
 """Command-line surface: analyze, morita, suite.
 
 Exit codes follow guards.FAILURE_STATUS: 0 success; 1 a failed check (a
-transport violation); 2 an input, validation or guard error; 3 an
-isomorphism search out of samples, so no verdict.  A failure that ends a
-command prints one line to stderr; `suite` prints its whole report, then
-exits 1 if a check failed, else 3 if one was inconclusive.
+transport violation); 2 an input, validation or guard error.  A failure
+that ends a command prints one line to stderr; `suite` prints its whole
+report, then exits 1 if a check failed.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ import os
 
 EXIT_ERROR = 2
 # (exit code, stderr label) for each record status of guards.FAILURE_STATUS
-EXITS = {"fail": (1, "theorem violation"), "partial": (EXIT_ERROR, "error"),
-         "inconclusive": (3, "inconclusive")}
+EXITS = {"fail": (1, "theorem violation"), "partial": (EXIT_ERROR, "error")}
 
 
 @contextmanager
@@ -167,27 +165,19 @@ def morita(module_file, matrix_n, corner_spec, conditions, guards_path, out_path
 
 @main.command()
 @click.option("--filter", "name_filter", default="", help="substring filter")
-@click.option("--seed", type=int, default=None,
-              help="override the rng seed recorded in the guards")
 @click.option("--guards", "guards_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_path", type=click.Path(), default=None)
-def suite(name_filter, seed, guards_path, out_path):
+def suite(name_filter, guards_path, out_path):
     """Run the built-in verification suite."""
     with _exit_on(InputError):
         guards = load_guards(guards_path)
-        if seed is not None:
-            from .guards import Guards
-            data = guards.to_dict()
-            data["rng_seed"] = seed
-            guards = Guards.from_dict(data)
         results = run_suite(guards, name_filter)
     summary = suite_report_dict(results, guards)
     click.echo(render_suite_report(summary))
     if out_path:
         write_structured(out_path, summary)
-    for status in ("fail", "inconclusive"):
-        if any(r["status"] == status for r in results):
-            sys.exit(EXITS[status][0])
+    if any(r["status"] == "fail" for r in results):
+        sys.exit(EXITS["fail"][0])
 
 
 if __name__ == "__main__":

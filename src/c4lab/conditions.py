@@ -299,7 +299,6 @@ class ObstructionPair:
 
     x: Submodule
     y: Submodule
-    iso_certificate: ModuleHom
     minimal: bool
     lengths: tuple[int, int]
 
@@ -319,12 +318,17 @@ def obs_swcs(m: RightModule, reading: str = "submodule",
     summands = summand_list(m, guards.max_end_enumeration)
     if reading == "submodule":
         all_submodules(m, guards.max_lattice_vectors)
-    return memo(m._cache, ("swcs", reading),
-                lambda: _obstruction_pairs(m, reading, summands, guards))
+    pairs, tested = memo(m._cache, ("swcs", reading),
+                         lambda: _obstruction_pairs(m, reading, summands, guards))
+    # the isomorphism tests scan End under this call's bound, so a cached
+    # answer re-runs them to raise the guards a fresh scan would
+    for x, y in tested:
+        iso_test(x, y, guards.max_end_enumeration)
+    return pairs
 
 
-def _obstruction_pairs(m: RightModule, reading: str, summands,
-                       guards: Guards) -> tuple[ObstructionPair, ...]:
+def _obstruction_pairs(m: RightModule, reading: str, summands, guards: Guards):
+    """(obstruction pairs, the module pairs whose isomorphism was tested)"""
     if reading == "literal-summand":
         candidates = [s for s in summands
                       if s.dim > 0 and is_semisimple(s.as_module())]
@@ -335,10 +339,10 @@ def _obstruction_pairs(m: RightModule, reading: str, summands,
     # X has a realization iff it sits essentially inside some summand;
     # a pair is realized iff both legs are (the two searches are
     # independent existentials).  Realized pairs are never obstructions,
-    # so the isomorphism certificate is only computed for the rest.
+    # so the isomorphism test only runs on the rest.
     hull = [any(essential_in(x, a) for a in summands) for x in candidates]
 
-    obstructions = []
+    obstructions, tested = [], []
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
             if hull[i] and hull[j]:
@@ -346,15 +350,14 @@ def _obstruction_pairs(m: RightModule, reading: str, summands,
             x, y = candidates[i], candidates[j]
             if linalg.intersect_rows(x.basis, y.basis, m.p).shape[0]:
                 continue
-            cert = iso_test(x.as_module(), y.as_module(),
-                            max_iso=guards.max_iso_search,
-                            rng_seed=guards.rng_seed)
-            if cert is not None:
-                obstructions.append((i, j, cert))
+            pair = (x.as_module(), y.as_module())
+            tested.append(pair)
+            if iso_test(*pair, guards.max_end_enumeration):
+                obstructions.append((i, j))
 
-    obstruction_keys = {(i, j) for i, j, _ in obstructions}
+    obstruction_keys = set(obstructions)
     pairs = []
-    for i, j, cert in obstructions:
+    for i, j in obstructions:
         x, y = candidates[i], candidates[j]
         minimal = True
         for i2 in range(len(candidates)):
@@ -373,8 +376,8 @@ def _obstruction_pairs(m: RightModule, reading: str, summands,
                 break
         lx = composition_length(x.as_module())
         ly = composition_length(y.as_module())
-        pairs.append(ObstructionPair(x, y, cert, minimal, (lx, ly)))
-    return tuple(pairs)
+        pairs.append(ObstructionPair(x, y, minimal, (lx, ly)))
+    return tuple(pairs), tuple(tested)
 
 
 def is_semiweak_cs(m: RightModule, reading: str = "submodule",
@@ -428,8 +431,7 @@ def decompose_strong(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
         part_q = dec.b.as_module()
         if not is_semisimple(part_p):
             continue
-        if not is_summand_square_free(part_q, guards.max_end_enumeration,
-                                      guards.max_iso_search, guards.rng_seed):
+        if not is_summand_square_free(part_q, guards.max_end_enumeration):
             continue
         if not is_orthogonal(part_p, part_q, guards.max_lattice_vectors):
             continue
@@ -576,7 +578,7 @@ CONDITIONS = {
     "iota": lambda m, rule_id, guards: obstruction_index(m, "submodule", guards),
     "semisimple": lambda m, rule_id, guards: is_semisimple(m),
     "summand_square_free": lambda m, rule_id, guards: is_summand_square_free(
-        m, guards.max_end_enumeration, guards.max_iso_search, guards.rng_seed),
+        m, guards.max_end_enumeration),
 }
 
 # the conditions transport must preserve: the default comparison list

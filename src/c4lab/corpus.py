@@ -71,7 +71,7 @@ def _simple_modules(ring: FiniteAlgebra) -> list[RightModule]:
     found: list[RightModule] = []
     for sub in all_submodules(top).minimal_members():
         cand = sub.as_module()
-        if not any(iso_test(cand, other) is not None for other in found):
+        if not any(iso_test(cand, other) for other in found):
             found.append(cand)
     found.sort(key=lambda m: (m.dim, m.action.tobytes()))
     for idx, mod in enumerate(found):

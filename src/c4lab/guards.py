@@ -1,18 +1,17 @@
 """Resource guards and tool-level error types.
 
-Every enumeration (lattices, endomorphism scans, hom-space scans,
-isomorphism searches) is bounded; exceeding a bound raises
-GuardExceeded naming the offending count and the bound, never a silent
-truncation.
+Every enumeration (lattices, endomorphism scans, hom-space scans) is
+bounded; exceeding a bound raises GuardExceeded naming the offending
+count and the bound, never a silent truncation.
 
 Every per-object cache goes through `memo`, which checks the guard
 before it looks in the cache: a call under a smaller bound raises even
 when a call under a larger bound already stored the result.
 
 `FAILURE_STATUS` is the one table from failure kinds to the status a
-check records: a guard hit leaves it partial, an isomorphism search out
-of samples leaves it inconclusive, and a transport contradiction fails
-it.  The suite records checks and the CLI picks exit codes from it.
+check records: a guard hit leaves it partial and a transport
+contradiction fails it.  The suite records checks and the CLI picks exit
+codes from it.
 """
 
 from __future__ import annotations
@@ -30,14 +29,6 @@ class GuardExceeded(RuntimeError):
         super().__init__(f"{what}: needs {needed} > bound {bound}")
 
 
-class IsoInconclusive(RuntimeError):
-    """Isomorphism search ran out of budget without a definitive answer.
-
-    Callers performing theorem checks must treat this as an abort of the
-    check, never as a negative answer.
-    """
-
-
 class TheoremViolation(RuntimeError):
     """A computation contradicts a transport guarantee.
 
@@ -48,16 +39,18 @@ class TheoremViolation(RuntimeError):
 
 FAILURE_STATUS = {
     GuardExceeded: "partial",
-    IsoInconclusive: "inconclusive",
     TheoremViolation: "fail",
 }
 
 
 @dataclass(frozen=True)
 class Guards:
-    """Enumeration bounds plus the seed for randomized fallbacks.
+    """Enumeration bounds, serialized into every report so runs are
+    reproducible.
 
-    Serialized into every report so runs are reproducible.
+    No computation reads max_iso_search or rng_seed: isomorphism is
+    decided exactly under max_end_enumeration.  Both are still accepted,
+    validated and serialized, so guards files and report bytes keep them.
     """
 
     max_lattice_vectors: int = 2 ** 16

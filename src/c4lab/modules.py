@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import FiniteAlgebra, jacobson_radical
-from .guards import IsoInconclusive, check_guard, memo
+from .guards import check_guard, memo
 
 
 class RightModule:
@@ -639,45 +639,55 @@ def fingerprint(m: RightModule) -> tuple:
 # isomorphism testing
 # ---------------------------------------------------------------------------
 
-def iso_test(m: RightModule, n: RightModule,
-             max_iso: int = 2 ** 16, rng_seed: int = 1,
-             sample_budget: int = 20000):
-    """Find an isomorphism M -> N, or return None.
+def iso_test(m: RightModule, n: RightModule, max_end: int = 2 ** 20) -> bool:
+    """Whether M and N are isomorphic, decided exactly by Krull-Schmidt.
 
-    Invariant screens run first; then the hom space is searched for an
-    invertible element, exhaustively when p^dim Hom <= max_iso and by
-    seeded random sampling otherwise.  A failed sampling search raises
-    IsoInconclusive rather than returning a wrong negative.
+    After the invariant screen both sides split into indecomposables
+    through the End-idempotent scan (its guard raises GuardExceeded), and
+    the two lists are matched greedily by the local test: for X
+    indecomposable and dim X = dim Y, X ~ Y iff F_i G_j is invertible for
+    some basis maps F_i of Hom(X, Y) and G_j of Hom(Y, X).
+    Proof: End X is local, so its non-units form an ideal; an isomorphism
+    F with inverse G gives 1 = FG as a sum of multiples of the F_i G_j, so
+    one of them is a unit, and then F_i is injective between spaces of
+    equal dimension.  The converse is immediate.
     """
     if m.ring is not n.ring:
         raise ValueError("iso test between modules over different rings")
     if m is n:
-        return ModuleHom(m, n, linalg.eye(m.dim), check=False)
+        return True
     if fingerprint(m) != fingerprint(n):
-        return None
+        return False
+    unmatched = _indecomposables(n, max_end)
+    for x in _indecomposables(m, max_end):
+        match = next((i for i, y in enumerate(unmatched) if _local_iso(x, y)), None)
+        if match is None:
+            return False
+        del unmatched[match]
+    return not unmatched
+
+
+def _indecomposables(m: RightModule, max_end: int) -> list[RightModule]:
+    """The indecomposable summands of M, split at the first proper
+    decomposition of each piece."""
+    from .conditions import enumerate_decompositions  # cycle kept local
     if m.dim == 0:
-        return ModuleHom(m, n, linalg.zeros(0, 0), check=False)
-    homs = hom_space_matrices(m, n)
-    k = homs.shape[0]
-    if k == 0:
-        return None
-    total = m.p ** k
-    if total <= max_iso:
-        for block in linalg.coeff_blocks(total, k, m.p):
-            cands = linalg.combine(block, homs, m.p)
-            for t in range(cands.shape[0]):
-                if linalg.rank(cands[t], m.p) == m.dim:
-                    return ModuleHom(m, n, cands[t], check=False)
-        return None
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(sample_budget):
-        coeff = rng.integers(0, m.p, size=k)
-        cand = linalg.combine(coeff, homs, m.p)
-        if linalg.rank(cand, m.p) == m.dim:
-            return ModuleHom(m, n, cand, check=False)
-    raise IsoInconclusive(
-        f"no isomorphism found between {m.name} and {n.name} within "
-        f"{sample_budget} samples; result is inconclusive")
+        return []
+    for dec in enumerate_decompositions(m, max_end):
+        if 0 < dec.a.dim < m.dim:
+            return (_indecomposables(dec.a.as_module(), max_end)
+                    + _indecomposables(dec.b.as_module(), max_end))
+    return [m]
+
+
+def _local_iso(x: RightModule, y: RightModule) -> bool:
+    """X ~ Y for X indecomposable: some basis product F_i G_j is a unit."""
+    if x.dim != y.dim:
+        return False
+    prods = linalg.matmul_mod(hom_space_matrices(x, y)[:, None],
+                              hom_space_matrices(y, x)[None], x.p)
+    return any(linalg.rank(mat, x.p) == x.dim
+               for mat in prods.reshape(-1, x.dim, x.dim))
 
 
 def is_orthogonal(m: RightModule, n: RightModule,
@@ -698,8 +708,7 @@ def is_orthogonal(m: RightModule, n: RightModule,
 # square-freeness and the classical predicate block
 # ---------------------------------------------------------------------------
 
-def _has_isomorphic_halves(m: RightModule, max_end: int, max_iso: int,
-                           rng_seed: int) -> bool:
+def _has_isomorphic_halves(m: RightModule, max_end: int) -> bool:
     """True iff M = X + X' internally with X isomorphic to X', X nonzero."""
     from .conditions import enumerate_decompositions  # cycle kept local
     for dec in enumerate_decompositions(m, max_end):
@@ -707,32 +716,29 @@ def _has_isomorphic_halves(m: RightModule, max_end: int, max_iso: int,
             continue
         if dec.a.dim != dec.b.dim:
             continue
-        if iso_test(dec.a.as_module(), dec.b.as_module(),
-                    max_iso=max_iso, rng_seed=rng_seed) is not None:
+        if iso_test(dec.a.as_module(), dec.b.as_module(), max_end):
             return True
     return False
 
 
-def is_summand_square_free(m: RightModule, max_end: int = 2 ** 20,
-                           max_iso: int = 2 ** 16, rng_seed: int = 1) -> bool:
+def is_summand_square_free(m: RightModule, max_end: int = 2 ** 20) -> bool:
     """No nonzero direct summand of M has the form X + X with X ~ X."""
     from .conditions import summand_list
     for d in summand_list(m, max_end):
         if d.dim == 0:
             continue
-        if _has_isomorphic_halves(d.as_module(), max_end, max_iso, rng_seed):
+        if _has_isomorphic_halves(d.as_module(), max_end):
             return False
     return True
 
 
 def is_square_free(m: RightModule, max_vectors: int = 2 ** 16,
-                   max_end: int = 2 ** 20, max_iso: int = 2 ** 16,
-                   rng_seed: int = 1) -> bool:
+                   max_end: int = 2 ** 20) -> bool:
     """No nonzero submodule of M has the form X + X with X ~ X."""
     for sub in all_submodules(m, max_vectors).members:
         if sub.dim == 0:
             continue
-        if _has_isomorphic_halves(sub.as_module(), max_end, max_iso, rng_seed):
+        if _has_isomorphic_halves(sub.as_module(), max_end):
             return False
     return True
 
@@ -749,8 +755,7 @@ def is_closed(n: Submodule, m: RightModule, max_vectors: int = 2 ** 16) -> bool:
 
 
 def classical_predicates(m: RightModule, max_vectors: int = 2 ** 16,
-                         max_end: int = 2 ** 20, max_iso: int = 2 ** 16,
-                         rng_seed: int = 1) -> dict:
+                         max_end: int = 2 ** 20) -> dict:
     """C2, C3, CS, weak CS, continuous and directly finite flags."""
     from .conditions import summand_list
     lat = all_submodules(m, max_vectors)
@@ -764,8 +769,7 @@ def classical_predicates(m: RightModule, max_vectors: int = 2 ** 16,
         for d in summands:
             if n.dim != d.dim:
                 continue
-            if iso_test(n.as_module(), d.as_module(),
-                        max_iso=max_iso, rng_seed=rng_seed) is not None:
+            if iso_test(n.as_module(), d.as_module(), max_end):
                 c2 = False
                 break
         if not c2:

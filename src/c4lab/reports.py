@@ -3,7 +3,7 @@ Report rendering: human text for stdout, ordered JSON for --out files.
 
 Key order is fixed everywhere and no floats appear (the infinite
 obstruction index serializes as the string "infinity"), so reports are
-byte-identical across runs with equal inputs, guards and seed.
+byte-identical across runs with equal inputs and guards.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@ The verification suite: corpus expectations, structural invariants and
 the transport theorems, evaluated exhaustively at desk scale.
 
 Each family returns a list of {"name", "status", "detail"} records with
-status "pass", "fail", "partial" (guard exhaustion: excluded from
-theorem assertions rather than silently truncated) or "inconclusive"
-(an isomorphism search ran out of samples).  run_suite stitches
+status "pass", "fail" or "partial" (guard exhaustion: excluded from
+theorem assertions rather than silently truncated).  run_suite stitches
 the families together for the CLI; the acceptance tests call the
 criterion functions directly.
 """
@@ -243,8 +242,7 @@ def criterion_strong_decomposition(guards: Guards = DEFAULT_GUARDS) -> list:
         p_mod, q_mod = p_part.as_module(), q_part.as_module()
         clauses = (
             is_semisimple(p_mod),
-            is_summand_square_free(q_mod, guards.max_end_enumeration,
-                                   guards.max_iso_search, guards.rng_seed),
+            is_summand_square_free(q_mod, guards.max_end_enumeration),
             is_orthogonal(p_mod, q_mod, guards.max_lattice_vectors),
             hom_vanishes(p_mod, q_mod),
         )
@@ -263,14 +261,11 @@ def criterion_example_schemes(guards: Guards = DEFAULT_GUARDS) -> list:
     def records(entry):
         nonlocal ssf_ok, weak_ok, trip_ok
         m = entry.module
-        if is_summand_square_free(m, guards.max_end_enumeration,
-                                  guards.max_iso_search, guards.rng_seed):
+        if is_summand_square_free(m, guards.max_end_enumeration):
             if not is_semiweak_cs(m, "submodule", guards):
                 ssf_ok = False
         if classical_predicates(m, guards.max_lattice_vectors,
-                                guards.max_end_enumeration,
-                                guards.max_iso_search,
-                                guards.rng_seed)["weak_CS"]:
+                                guards.max_end_enumeration)["weak_CS"]:
             if not is_semiweak_cs(m, "submodule", guards):
                 weak_ok = False
         if not is_semiweak_cs(m, "literal-summand", guards):
@@ -377,8 +372,7 @@ def structural_invariant_checks(guards: Guards = DEFAULT_GUARDS) -> list:
         # semisimple modules satisfy the whole classical block
         if is_semisimple(m):
             preds = classical_predicates(m, guards.max_lattice_vectors,
-                                         guards.max_end_enumeration,
-                                         guards.max_iso_search, guards.rng_seed)
+                                         guards.max_end_enumeration)
             yield _record(
                 f"invariant:semisimple-classical:{name}",
                 all(preds[k] for k in ("C2", "C3", "CS", "weak_CS")))

@@ -163,13 +163,10 @@ def test_bad_input_exit_code(runner, tmp_path):
     assert "prime" in result.output
 
 
-def test_inconclusive_iso_search_exit_code(runner, tmp_path, monkeypatch):
-    import functools
-
-    from c4lab import conditions
-    # F2[x,y]/(x,y)^2: the swCS scan compares its three socle lines.  An
-    # exhaustive bound of 1 and a sample budget of 0 leave that
-    # isomorphism search inconclusive.
+def test_iso_search_bound_leaves_the_swcs_verdict_exact(runner, tmp_path):
+    # F2[x,y]/(x,y)^2: the swCS scan compares its three socle lines.  The
+    # isomorphism test is exact and reads no max_iso_search, so a bound of
+    # 1 still yields the full report.
     ring = tmp_path / "k.json"
     ring.write_text(json.dumps({
         "p": 2, "dim": 3, "labels": ["1", "x", "y"], "one": [1, 0, 0],
@@ -177,14 +174,18 @@ def test_inconclusive_iso_search_exit_code(runner, tmp_path, monkeypatch):
                 [1, 0, [0, 1, 0]], [2, 0, [0, 0, 1]]]}))
     guards = tmp_path / "guards.json"
     guards.write_text(json.dumps({"max_iso_search": 1}))
-    monkeypatch.setattr(conditions, "iso_test",
-                        functools.partial(conditions.iso_test, sample_budget=0))
     result = runner.invoke(main, ["analyze", str(ring), "--ring",
                                   "--guards", str(guards)])
-    assert result.exit_code == 3
-    assert isinstance(result.exception, SystemExit)
-    assert result.output.startswith("inconclusive: no isomorphism found")
-    assert result.output.count("\n") == 1
+    assert result.exit_code == 0, result.output
+    assert "  swCS    false" in result.output
+    assert "  swCS obstructions   3" in result.output
+    assert "PARTIAL" not in result.output
+
+
+def test_suite_rejects_the_removed_seed_option(runner):
+    result = runner.invoke(main, ["suite", "--seed", "1"])
+    assert result.exit_code == 2
+    assert "No such option '--seed'" in result.output
 
 
 def test_too_large_prime_is_a_located_input_error(runner, tmp_path):
@@ -278,8 +279,8 @@ def test_morita_theorem_violation_exits_1_with_one_line(runner, mixed_module_fil
 
 @pytest.mark.parametrize("statuses, code", [
     (("pass", "partial"), 0),
-    (("pass", "inconclusive", "partial"), 3),
-    (("fail", "inconclusive"), 1),
+    (("pass", "partial", "fail"), 1),
+    (("fail", "partial"), 1),
 ])
 def test_suite_exit_code_after_the_full_report(runner, monkeypatch, statuses, code):
     from c4lab import cli

@@ -311,3 +311,37 @@ def test_distinct_row_spaces_matches_row_space(p, rows, cols):
     got = linalg.distinct_row_spaces(stack, p)
     assert [b.tobytes() for b in got] == list(expected)
     assert all(b.shape == e.shape for b, e in zip(got, expected.values()))
+
+
+def test_answers_are_deterministic_and_iso_verdicts_are_bools():
+    """No module of c4lab draws random numbers, and no file compares an
+    iso_test call with None: it returns a bool, and `False is not None`
+    would read a negative verdict as a positive one."""
+    import ast
+    import pathlib
+
+    src = pathlib.Path(linalg.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                if any("random" in name.split(".") or name == "default_rng" for name in names):
+                    found.append(f"{path.name}:{node.lineno}: imports {names}")
+            elif isinstance(node, ast.Attribute) and node.attr in ("random", "default_rng"):
+                found.append(f"{path.name}:{node.lineno}: {node.attr}")
+            elif isinstance(node, ast.Name) and node.id == "default_rng":
+                found.append(f"{path.name}:{node.lineno}: default_rng")
+    for path in sorted(src.glob("*.py")) + sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            calls_iso = any(isinstance(side, ast.Call) and getattr(
+                side.func, "id", getattr(side.func, "attr", None)) == "iso_test"
+                for side in sides)
+            none_test = any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops) and any(
+                isinstance(side, ast.Constant) and side.value is None for side in sides)
+            if calls_iso and none_test:
+                found.append(f"{path.name}:{node.lineno}: iso_test(...) compared with None")
+    assert not found, found

@@ -46,8 +46,7 @@ def _direct(m, name):
         "strong": lambda: is_strongly_c4star(m, DEFAULT_RULE_ID, g),
         "iota": lambda: obstruction_index(m, "submodule", g),
         "semisimple": lambda: is_semisimple(m),
-        "summand_square_free": lambda: is_summand_square_free(
-            m, g.max_end_enumeration, g.max_iso_search, g.rng_seed),
+        "summand_square_free": lambda: is_summand_square_free(m, g.max_end_enumeration),
     }[name]()
 
 

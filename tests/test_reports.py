@@ -81,3 +81,13 @@ def test_render_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert render_defect_report(report) == render_defect_report(
         build_defect_report(m, module_id="R+S"))
+
+
+def test_every_record_status_fits_the_suite_status_column():
+    from c4lab.guards import FAILURE_STATUS
+    from c4lab.reports import render_suite_report, suite_report_dict
+
+    statuses = ["pass", *FAILURE_STATUS.values()]
+    checks = [{"name": "check", "status": s, "detail": ""} for s in statuses]
+    lines = render_suite_report(suite_report_dict(checks, DEFAULT_GUARDS)).splitlines()
+    assert [line[:9] for line in lines[:-1]] == [f"[{s.upper():7s}]" for s in statuses]

@@ -1,12 +1,9 @@
-import functools
 import json
 
 import pytest
 
-from c4lab import conditions
 from c4lab.corpus import CorpusEntry, Expectation, corpus_rings, local_square_zero_algebra
-from c4lab.guards import (DEFAULT_GUARDS, GuardExceeded, Guards, IsoInconclusive,
-                          TheoremViolation)
+from c4lab.guards import DEFAULT_GUARDS, GuardExceeded, Guards, TheoremViolation
 from c4lab.modules import regular_module
 from c4lab.reports import render_suite_report, suite_report_dict, write_structured
 from c4lab.suite import FAMILIES, corpus_expectation_checks, run_check, run_suite
@@ -88,7 +85,8 @@ def test_tiny_guards_leave_every_family_partial_not_raising():
 
 @pytest.mark.parametrize("exc, status", [
     (GuardExceeded("scan", 2, 1), "partial"),
-    (IsoInconclusive("no isomorphism found"), "inconclusive"),
+    # an isomorphism test whose End scan is over its bound
+    (GuardExceeded("endomorphism scan of X", 2 ** 18, 2 ** 17), "partial"),
     (TheoremViolation("bridge is not bijective"), "fail"),
 ])
 def test_run_check_records_each_failure_kind(exc, status):
@@ -101,16 +99,14 @@ def test_run_check_records_each_failure_kind(exc, status):
     ]
 
 
-def test_inconclusive_search_is_a_record_not_an_abort(monkeypatch):
+def test_swcs_under_a_tiny_iso_search_bound_records_its_verdict():
     # F2[x,y]/(x,y)^2: the swCS scan compares its three socle lines, and
-    # with no samples that isomorphism search is inconclusive
-    monkeypatch.setattr(conditions, "iso_test",
-                        functools.partial(conditions.iso_test, sample_budget=0))
+    # the exact isomorphism test reads no max_iso_search
     ring = local_square_zero_algebra(2, 2)
     entry = CorpusEntry("k.reg", ring, regular_module(ring), {
-        "swCS": Expectation(True, "TRIVIAL"),
+        "swCS": Expectation(False, "DERIVED", "three pairwise disjoint socle lines, "
+                                              "none essential in a proper summand"),
     })
     (record,) = corpus_expectation_checks(Guards(max_iso_search=1), entries=[entry])
     assert record["name"] == "corpus:k.reg:swCS"
-    assert record["status"] == "inconclusive"
-    assert record["detail"].startswith("no isomorphism found")
+    assert record["status"] == "pass", record["detail"]
