@@ -10,9 +10,10 @@ index, the combined strong condition with its decomposition search, and
 the arity/depth extensions.
 
 The unit of the C4 scan is one decomposition's list of defect
-witnesses, cached per summand pair: `def_c4` concatenates them, and the
-chain condition C4[m] at arity >= 3 reads the same lists along each
-chain, which under the default rule decides it (see `is_c4_m`).
+witnesses, cached per summand pair: `def_c4` concatenates them.  Under
+the default rule C4[m] holds exactly when C4 does, so `is_c4_m` answers
+with `is_c4` (see its proof).  `def_c4star` and `obs_swcs` check guards
+inside their computations, so their caches are keyed by the Guards.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ class Decomposition:
             raise ValueError("projection is not idempotent")
 
 
-def enumerate_decompositions(m: RightModule,
-                             max_end: int = 2 ** 20) -> tuple[Decomposition, ...]:
+def enumerate_decompositions(
+        m: RightModule, max_end: int = DEFAULT_GUARDS.max_end_enumeration,
+) -> tuple[Decomposition, ...]:
     """One decomposition per idempotent of End(M), in deterministic order."""
     homs = hom_space_matrices(m, m)
     k = homs.shape[0]
@@ -106,7 +108,9 @@ def _end_scan(m: RightModule, homs: np.ndarray, total: int) -> tuple[Decompositi
     return tuple(out)
 
 
-def summand_list(m: RightModule, max_end: int = 2 ** 20) -> tuple[Submodule, ...]:
+def summand_list(
+        m: RightModule, max_end: int = DEFAULT_GUARDS.max_end_enumeration,
+) -> tuple[Submodule, ...]:
     """Distinct direct summands of M (images of End idempotents)."""
     decs = enumerate_decompositions(m, max_end)
 
@@ -213,22 +217,16 @@ def def_c4(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
     """All defect witnesses, over every (decomposition, morphism) pair."""
     decs = enumerate_decompositions(m, guards.max_end_enumeration)
     for dec in decs:
+        homs = hom_space_matrices(dec.a.as_module(), dec.b.as_module())
         check_guard(f"hom scan on a decomposition of {m.name}",
-                    m.p ** _hom_dim(dec), guards.max_hom_scan)
+                    m.p ** homs.shape[0], guards.max_hom_scan)
     return tuple(rec for dec in decs for rec in _dec_defects(m, dec, rule_id))
-
-
-def _hom_dim(dec: Decomposition) -> int:
-    return hom_space_matrices(dec.a.as_module(), dec.b.as_module()).shape[0]
 
 
 def _dec_defects(m: RightModule, dec: Decomposition,
                  rule_id: str) -> tuple[WitnessRecord, ...]:
-    """The defect witnesses f: A -> B of one decomposition M = A + B.
-
-    Callers check the hom-scan guard p^(dim Hom(A, B)) first: `def_c4`
-    checks it for every decomposition, and a chain's bound on the sum of
-    its hom dims covers each of its decompositions."""
+    """The defect witnesses f: A -> B of one decomposition M = A + B;
+    `def_c4` checks its hom-scan guard p^(dim Hom(A, B)) first."""
     def scan():
         a_mod = dec.a.as_module()
         b_mod = dec.b.as_module()
@@ -276,12 +274,12 @@ def shape_classes(items) -> dict:
 def def_c4star(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
                guards: Guards = DEFAULT_GUARDS) -> tuple:
     """Pairs (X, witness) over every lattice member X failing the rule."""
-    lat = all_submodules(m, guards.max_lattice_vectors)
-    # def_c4 runs on every member even when the pairs are cached: it is
-    # what re-checks each member's guards under the bounds of this call
-    per_member = [(sub, def_c4(sub.as_module(), rule_id, guards)) for sub in lat.members]
-    return memo(m._cache, ("def_c4star", rule_id),
-                lambda: tuple((sub, rec) for sub, recs in per_member for rec in recs))
+    def scan():
+        lat = all_submodules(m, guards.max_lattice_vectors)
+        return tuple((sub, rec) for sub in lat.members
+                     for rec in def_c4(sub.as_module(), rule_id, guards))
+    # scan() checks every member's guards, so the answer is per Guards
+    return memo(m._cache, ("def_c4star", rule_id, guards), scan)
 
 
 def is_c4star(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
@@ -315,20 +313,14 @@ def obs_swcs(m: RightModule, reading: str = "submodule",
              guards: Guards = DEFAULT_GUARDS) -> tuple[ObstructionPair, ...]:
     if reading not in READINGS:
         raise ValueError(f"unknown reading {reading!r}")
+    # the isomorphism tests check End-scan guards inside: key by Guards
+    return memo(m._cache, ("swcs", reading, guards),
+                lambda: _obstruction_pairs(m, reading, guards))
+
+
+def _obstruction_pairs(m: RightModule, reading: str,
+                       guards: Guards) -> tuple[ObstructionPair, ...]:
     summands = summand_list(m, guards.max_end_enumeration)
-    if reading == "submodule":
-        all_submodules(m, guards.max_lattice_vectors)
-    pairs, tested = memo(m._cache, ("swcs", reading),
-                         lambda: _obstruction_pairs(m, reading, summands, guards))
-    # the isomorphism tests scan End under this call's bound, so a cached
-    # answer re-runs them to raise the guards a fresh scan would
-    for x, y in tested:
-        iso_test(x, y, guards.max_end_enumeration)
-    return pairs
-
-
-def _obstruction_pairs(m: RightModule, reading: str, summands, guards: Guards):
-    """(obstruction pairs, the module pairs whose isomorphism was tested)"""
     if reading == "literal-summand":
         candidates = [s for s in summands
                       if s.dim > 0 and is_semisimple(s.as_module())]
@@ -342,7 +334,7 @@ def _obstruction_pairs(m: RightModule, reading: str, summands, guards: Guards):
     # so the isomorphism test only runs on the rest.
     hull = [any(essential_in(x, a) for a in summands) for x in candidates]
 
-    obstructions, tested = [], []
+    obstructions = []
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
             if hull[i] and hull[j]:
@@ -350,9 +342,7 @@ def _obstruction_pairs(m: RightModule, reading: str, summands, guards: Guards):
             x, y = candidates[i], candidates[j]
             if linalg.intersect_rows(x.basis, y.basis, m.p).shape[0]:
                 continue
-            pair = (x.as_module(), y.as_module())
-            tested.append(pair)
-            if iso_test(*pair, guards.max_end_enumeration):
+            if iso_test(x.as_module(), y.as_module(), guards.max_end_enumeration):
                 obstructions.append((i, j))
 
     obstruction_keys = set(obstructions)
@@ -377,7 +367,7 @@ def _obstruction_pairs(m: RightModule, reading: str, summands, guards: Guards):
         lx = composition_length(x.as_module())
         ly = composition_length(y.as_module())
         pairs.append(ObstructionPair(x, y, minimal, (lx, ly)))
-    return tuple(pairs), tuple(tested)
+    return tuple(pairs)
 
 
 def is_semiweak_cs(m: RightModule, reading: str = "submodule",
@@ -466,57 +456,14 @@ def is_c4_m(m: RightModule, arity: int, rule_id: str = DEFAULT_RULE_ID,
     also follows from C4 itself: if X = im f_1 is a summand inside
     A_2 = X + Y, then f_2 restricted to X is an injective map from X into
     its complement Y + A_3, so C4 makes im(f_2 o f_1) a summand; induct on
-    the run length).  Since each chain passes or fails as its runs do, the
-    chains are walked in scan order under the chain-count guard and each
-    chain's p^(sum of hom dims) guard, and every guarded outcome is that of
-    a scan of every hom tuple of every chain."""
+    the run length).  So after validating the arity and the rule, this
+    answers with `is_c4` under the same guards and enumerates no chain."""
     if arity < 2:
         raise ValueError("arity must be >= 2")
-    if arity == 2:
-        return is_c4(m, rule_id, guards)
-    if rule_id != DEFAULT_RULE_ID:
+    if arity > 2 and rule_id != DEFAULT_RULE_ID:
         raise ValueError(f"the {arity}-ary chain condition is defined only for "
                          f"the rule {DEFAULT_RULE_ID!r}, not {rule_id!r}")
-    decs = enumerate_decompositions(m, guards.max_end_enumeration)
-    # the count guard trips before any chain is checked; counting on a
-    # first walk keeps no chain alive
-    for count, _ in enumerate(_chains(decs, arity - 1), 1):
-        check_guard(f"{arity}-ary chain enumeration on {m.name}",
-                    count, guards.max_end_enumeration)
-    dims = [_hom_dim(dec) for dec in decs]
-    clean: set[int] = set()
-    for chain in _chains(decs, arity - 1):
-        check_guard(f"hom scan on an {arity}-ary chain of {m.name}",
-                    m.p ** sum(dims[i] for i in chain), guards.max_hom_scan)
-        for i in chain:
-            if i not in clean:
-                if _dec_defects(m, decs[i], rule_id):
-                    return False
-                clean.add(i)
-    return True
-
-
-def _chains(decs, length: int):
-    """Every sequence of length positions i_1, i_2, ... in decs with each
-    decs[i_{k+1}].a the summand decs[i_k].b: starts in order of summand
-    key, then depth first in decs order."""
-    after: dict[bytes, list[int]] = {}
-    for i, dec in enumerate(decs):
-        after.setdefault(dec.a.key(), []).append(i)
-    nxt = [after[dec.b.key()] for dec in decs]
-    for key in sorted(after):
-        chain, stack = [], [iter(after[key])]
-        while stack:
-            i = next(stack[-1], None)
-            if i is None:
-                stack.pop()
-                if chain:
-                    chain.pop()
-            elif len(chain) + 1 == length:
-                yield (*chain, i)
-            else:
-                chain.append(i)
-                stack.append(iter(nxt[i]))
+    return is_c4(m, rule_id, guards)
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +499,13 @@ def check_extended(m: RightModule, arity: int = 2, depth: int = 1,
     """Flags for the arity/depth extension grid at one (m, d) cell."""
     starts = _chain_starts(m, depth, strict, guards)
     c4star_d = all(is_c4(x.as_module(), rule_id, guards) for x in starts)
+    # is_c4_m validates the arity and the rule; C4[m] is C4, so C4star_m_d is C4star_d
     c4_m = is_c4_m(m, arity, rule_id, guards)
-    c4star_m_d = all(is_c4_m(x.as_module(), arity, rule_id, guards) for x in starts)
     swcs_d = all(is_semiweak_cs(x.as_module(), "submodule", guards) for x in starts)
     return {
         "C4star_d": c4star_d,
         "C4_m": c4_m,
-        "C4star_m_d": c4star_m_d,
+        "C4star_m_d": c4star_d,
         "swcs_depth_d": swcs_d,
         "strong_depth_d": c4star_d and swcs_d,
     }

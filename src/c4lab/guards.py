@@ -4,9 +4,10 @@ Every enumeration (lattices, endomorphism scans, hom-space scans) is
 bounded; exceeding a bound raises GuardExceeded naming the offending
 count and the bound, never a silent truncation.
 
-Every per-object cache goes through `memo`, which checks the guard
-before it looks in the cache: a call under a smaller bound raises even
-when a call under a larger bound already stored the result.
+Every per-object cache goes through `memo`, under one rule that keeps a
+warm answer equal to a cold one: a guard is checked where its
+enumeration runs.  `memo` checks a guard it is given even on a hit, and
+an entry whose computation checks bounds itself is keyed by those bounds.
 
 `FAILURE_STATUS` is the one table from failure kinds to the status a
 check records: a guard hit leaves it partial and a transport
@@ -87,7 +88,8 @@ def check_guard(what: str, needed: int, bound: int) -> None:
 def memo(cache: dict, key, compute, guard=None):
     """cache[key], computed by compute() and stored on a miss.
 
-    guard, a (what, needed, bound) triple, is checked first.
+    guard, a (what, needed, bound) triple, is checked first, even on a
+    hit.  Bounds that compute() checks itself belong in key.
     """
     if guard is not None:
         check_guard(*guard)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import FiniteAlgebra, jacobson_radical
-from .guards import check_guard, memo
+from .guards import DEFAULT_GUARDS, check_guard, memo
 
 
 class RightModule:
@@ -226,9 +226,6 @@ class ModuleHom:
     def is_injective(self) -> bool:
         return self.rank() == self.source.dim
 
-    def is_isomorphism(self) -> bool:
-        return self.source.dim == self.target.dim and self.is_injective()
-
     def kernel(self) -> Submodule:
         return Submodule(self.source, linalg.left_nullspace(self.matrix, self.p),
                          check=False)
@@ -365,7 +362,8 @@ class SubmoduleLattice:
         return out
 
 
-def all_submodules(m: RightModule, max_vectors: int = 2 ** 16) -> SubmoduleLattice:
+def all_submodules(m: RightModule,
+                   max_vectors: int = DEFAULT_GUARDS.max_lattice_vectors) -> SubmoduleLattice:
     """Every submodule: cyclic submodules closed under pairwise sums."""
     total = m.p ** m.dim
     return memo(m._cache, "lattice", lambda: _lattice(m, total),
@@ -471,7 +469,7 @@ def is_essential(n: Submodule, m: RightModule) -> bool:
 
 
 def essential_oracle(n: Submodule, m: RightModule,
-                     max_vectors: int = 2 ** 16) -> bool:
+                     max_vectors: int = DEFAULT_GUARDS.max_lattice_vectors) -> bool:
     """Definitional test: every nonzero cyclic submodule meets N."""
     _check_sub(n, m)
     total = m.p ** m.dim
@@ -533,7 +531,7 @@ def is_semisimple(m: RightModule) -> bool:
     return socle(m).dim == m.dim
 
 
-def is_simple(m: RightModule, max_vectors: int = 2 ** 16) -> bool:
+def is_simple(m: RightModule, max_vectors: int = DEFAULT_GUARDS.max_lattice_vectors) -> bool:
     """Simple iff nonzero and every nonzero vector generates everything."""
     if m.dim == 0:
         return False
@@ -607,9 +605,12 @@ def _semisimple_length(m: RightModule, max_vectors: int) -> int:
     return count
 
 
-def composition_length(m: RightModule, max_vectors: int = 2 ** 16) -> int:
+def composition_length(m: RightModule,
+                       max_vectors: int = DEFAULT_GUARDS.max_lattice_vectors) -> int:
     """Length = sum of socle-layer lengths (Jordan-Hoelder count)."""
-    return memo(m._cache, "length", lambda: _composition_length(m, max_vectors))
+    # the minimal-submodule scans check max_vectors inside: key by it
+    return memo(m._cache, ("length", max_vectors),
+                lambda: _composition_length(m, max_vectors))
 
 
 def _composition_length(m: RightModule, max_vectors: int) -> int:
@@ -639,7 +640,8 @@ def fingerprint(m: RightModule) -> tuple:
 # isomorphism testing
 # ---------------------------------------------------------------------------
 
-def iso_test(m: RightModule, n: RightModule, max_end: int = 2 ** 20) -> bool:
+def iso_test(m: RightModule, n: RightModule,
+             max_end: int = DEFAULT_GUARDS.max_end_enumeration) -> bool:
     """Whether M and N are isomorphic, decided exactly by Krull-Schmidt.
 
     After the invariant screen both sides split into indecomposables
@@ -691,7 +693,7 @@ def _local_iso(x: RightModule, y: RightModule) -> bool:
 
 
 def is_orthogonal(m: RightModule, n: RightModule,
-                  max_vectors: int = 2 ** 16) -> bool:
+                  max_vectors: int = DEFAULT_GUARDS.max_lattice_vectors) -> bool:
     """Hom(X, Y) = 0 for every pair of submodules X <= M, Y <= N."""
     lat_m = all_submodules(m, max_vectors)
     lat_n = all_submodules(n, max_vectors)
@@ -721,7 +723,8 @@ def _has_isomorphic_halves(m: RightModule, max_end: int) -> bool:
     return False
 
 
-def is_summand_square_free(m: RightModule, max_end: int = 2 ** 20) -> bool:
+def is_summand_square_free(m: RightModule,
+                           max_end: int = DEFAULT_GUARDS.max_end_enumeration) -> bool:
     """No nonzero direct summand of M has the form X + X with X ~ X."""
     from .conditions import summand_list
     for d in summand_list(m, max_end):
@@ -732,8 +735,9 @@ def is_summand_square_free(m: RightModule, max_end: int = 2 ** 20) -> bool:
     return True
 
 
-def is_square_free(m: RightModule, max_vectors: int = 2 ** 16,
-                   max_end: int = 2 ** 20) -> bool:
+def is_square_free(m: RightModule,
+                   max_vectors: int = DEFAULT_GUARDS.max_lattice_vectors,
+                   max_end: int = DEFAULT_GUARDS.max_end_enumeration) -> bool:
     """No nonzero submodule of M has the form X + X with X ~ X."""
     for sub in all_submodules(m, max_vectors).members:
         if sub.dim == 0:
@@ -743,7 +747,8 @@ def is_square_free(m: RightModule, max_vectors: int = 2 ** 16,
     return True
 
 
-def is_closed(n: Submodule, m: RightModule, max_vectors: int = 2 ** 16) -> bool:
+def is_closed(n: Submodule, m: RightModule,
+              max_vectors: int = DEFAULT_GUARDS.max_lattice_vectors) -> bool:
     """No member strictly above N has N essential in it."""
     _check_sub(n, m)
     for member in all_submodules(m, max_vectors).members:
@@ -754,8 +759,9 @@ def is_closed(n: Submodule, m: RightModule, max_vectors: int = 2 ** 16) -> bool:
     return True
 
 
-def classical_predicates(m: RightModule, max_vectors: int = 2 ** 16,
-                         max_end: int = 2 ** 20) -> dict:
+def classical_predicates(m: RightModule,
+                         max_vectors: int = DEFAULT_GUARDS.max_lattice_vectors,
+                         max_end: int = DEFAULT_GUARDS.max_end_enumeration) -> dict:
     """C2, C3, CS, weak CS, continuous and directly finite flags."""
     from .conditions import summand_list
     lat = all_submodules(m, max_vectors)

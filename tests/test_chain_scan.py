@@ -1,11 +1,12 @@
-"""The C4[m] chain scan against the tuple enumeration it replaced.
+"""C4[m] against the tuple enumeration that once decided it.
 
 `tuple_scan` is the former arity >= 3 path of `is_c4_m`, kept here as an
 independent oracle: it enumerates every tuple (f_1, ..., f_{m-1}) of the
 p^(sum of hom dims) tuples of each chain, then re-forms and re-ranks
-every consecutive run of every tuple.  `is_c4_m` walks the same chains
-under the same guards but reads only each decomposition's C4 defects.
-Both run on a fresh copy of each module unless a test says otherwise.
+every consecutive run of every tuple.  C4[m] holds exactly when C4 does,
+so `is_c4_m` answers with `is_c4`: under any guards its outcome is that
+of `is_c4`, and every verdict is the oracle's under the default guards.
+Every call runs on a fresh copy of its module.
 """
 
 import pytest
@@ -15,10 +16,11 @@ from c4lab.algebra import poly_quotient_algebra
 from c4lab.conditions import (
     build_defect_report,
     enumerate_decompositions,
+    is_c4,
     is_c4_m,
 )
 from c4lab.corpus import corpus_builtin, simple_modules
-from c4lab.guards import DEFAULT_GUARDS, GuardExceeded, Guards, check_guard
+from c4lab.guards import DEFAULT_GUARDS, GuardExceeded, Guards
 from c4lab.modules import (
     RightModule,
     Submodule,
@@ -26,16 +28,17 @@ from c4lab.modules import (
     direct_sum,
     hom_space_matrices,
     is_summand,
+    regular_module,
 )
 
 # the oracle's budget per module: hom tuples summed over its chains
 MAX_TUPLES = 2 ** 12
 
 
-def chains_of(m, arity, guards=DEFAULT_GUARDS):
+def chains_of(m, arity):
     """Every chain of summands with complementary neighbours, in scan order."""
     summand, comp = {}, {}
-    for dec in enumerate_decompositions(m, guards.max_end_enumeration):
+    for dec in enumerate_decompositions(m):
         summand.setdefault(dec.a.key(), dec.a)
         comp.setdefault(dec.a.key(), []).append(dec.b)
     chains = []
@@ -43,8 +46,6 @@ def chains_of(m, arity, guards=DEFAULT_GUARDS):
     def extend(chain):
         if len(chain) == arity:
             chains.append(list(chain))
-            check_guard(f"{arity}-ary chain enumeration on {m.name}",
-                        len(chains), guards.max_end_enumeration)
             return
         for nxt in comp[chain[-1].key()]:
             chain.append(nxt)
@@ -71,15 +72,14 @@ def within_budget(m, arity):
     return True
 
 
-def tuple_scan(m, arity, guards=DEFAULT_GUARDS):
-    """The C4[m] verdict by enumerating every hom tuple of every chain."""
+def tuple_scan(m, arity):
+    """The C4[m] verdict by enumerating every hom tuple of every chain
+    (unguarded: for small modules only)."""
     p = m.p
-    for chain in chains_of(m, arity, guards):
+    for chain in chains_of(m, arity):
         stacks = hom_stacks(chain)
         dims = [h.shape[0] for h in stacks]
         total = p ** sum(dims)
-        check_guard(f"hom scan on an {arity}-ary chain of {m.name}", total,
-                    guards.max_hom_scan)
         for row in linalg.decode_codes(range(total), sum(dims), p):
             mats, pos = [], 0
             for stack, k in zip(stacks, dims):
@@ -103,9 +103,9 @@ def fresh(m):
     return RightModule(m.ring, m.action, name=m.name, validate=False)
 
 
-def outcome(fn, m, arity, guards=DEFAULT_GUARDS):
+def outcome(fn, m, *args, guards=DEFAULT_GUARDS):
     try:
-        return fn(fresh(m), arity, guards=guards)
+        return fn(fresh(m), *args, guards=guards)
     except GuardExceeded as exc:
         return str(exc)
 
@@ -156,27 +156,26 @@ def corpus_module(name):
 
 
 def test_tight_hom_scan_guard_matches_tuple_scan():
-    # the messages and partial reasons are those of the tuple scan
+    # 8 is below a 3-ary chain's 16 hom tuples but not below any one
+    # decomposition's hom scan, so C4 and C4[3] answer exactly
     m = corpus_module("r2.r2_reg+reg")
     tight = Guards(max_hom_scan=8)
-    message = "hom scan on an 3-ary chain of r2_reg+reg: needs 16 > bound 8"
-    assert outcome(tuple_scan, m, 3, tight) == outcome(is_c4_m, m, 3, tight) == message
+    assert outcome(is_c4_m, m, 3, guards=tight) is tuple_scan(fresh(m), 3)
     report = build_defect_report(fresh(m), guards=tight, extension_grid=((3, 1),))
-    assert report.partial == {"extension(3,1)": message}
+    assert report.partial == {}
+    assert report.extensions[0]["flags"]["C4_m"] is report.flags["C4"]
 
 
-def test_a_failing_chain_returns_before_a_later_chains_guard():
-    # T2(F2)_reg + S2 fails on a chain scanned before the first chain
-    # needing 4 > 2 tuples, so the bound 2 still gives an exact False
+def test_a_sum_outside_the_corpus_answers_as_c4():
+    # T2(F2)_reg + S2 fails C4; under tight hom-scan bounds each arity
+    # answers, or raises, exactly as C4 does
     m, _, _ = direct_sum(corpus_module("t2.T2(F2)_reg"), corpus_module("t2.T2(F2)_S2"),
                          name="T2_reg+S2")
-    assert max(m.p ** sum(h.shape[0] for h in hom_stacks(chain))
-               for chain in chains_of(fresh(m), 3)) == 4
-    tight = Guards(max_hom_scan=2)
-    assert outcome(tuple_scan, m, 3, tight) is outcome(is_c4_m, m, 3, tight) is False
-    tighter = Guards(max_hom_scan=1)
-    assert outcome(tuple_scan, m, 4, tighter) == outcome(is_c4_m, m, 4, tighter) == (
-        "hom scan on an 4-ary chain of T2_reg+S2: needs 2 > bound 1")
+    assert outcome(is_c4_m, m, 3) is tuple_scan(fresh(m), 3) is False
+    for guards in (Guards(max_hom_scan=2), Guards(max_hom_scan=1)):
+        for arity in (3, 4):
+            assert outcome(is_c4_m, m, arity, guards=guards) == outcome(
+                is_c4, m, guards=guards)
 
 
 SWEEP = [Guards(max_hom_scan=hom, max_end_enumeration=end)
@@ -186,29 +185,22 @@ SWEEP = [Guards(max_hom_scan=hom, max_end_enumeration=end)
 
 @pytest.mark.parametrize("arity", [3, 4])
 def test_guarded_outcomes_match_tuple_scan(arity):
-    # the verdict or the exact GuardExceeded message, cold, under every
-    # combination of tight and default hom-scan and End-scan bounds
+    # the verdict or the exact GuardExceeded message of is_c4, cold, under
+    # every combination of tight and default hom-scan and End-scan bounds;
+    # every verdict is also the oracle's under the default guards
     modules = [m for m in distinct_modules(e.module for e in corpus_builtin())
                if within_budget(fresh(m), arity)]
     outcomes = set()
     for m in modules:
+        oracle = tuple_scan(fresh(m), arity)
         for guards in SWEEP:
-            want = outcome(tuple_scan, m, arity, guards)
-            assert outcome(is_c4_m, m, arity, guards) == want, (m.name, guards)
-            outcomes.add(want if isinstance(want, bool) else want.split(" ")[0])
-    # every guard trips somewhere; the chain count only trips at arity 4
-    kinds = {True, False, "hom", "endomorphism"} | ({"4-ary"} if arity == 4 else set())
-    assert len(modules) >= 15 and kinds <= outcomes
+            got = outcome(is_c4_m, m, arity, guards=guards)
+            assert got == outcome(is_c4, m, guards=guards), (m.name, guards)
+            assert got is oracle or isinstance(got, str), (m.name, guards)
+            outcomes.add(got if isinstance(got, bool) else got.split(" ")[0])
+    assert len(modules) >= 15 and {True, False, "hom", "endomorphism"} <= outcomes
 
 
-def test_a_warm_verdict_still_checks_the_chain_guards():
-    # a verdict computed under the default guards is not returned from a
-    # cache under a bound it would exceed
-    m = fresh(corpus_module("r2.r2_reg+reg"))
-    verdict = is_c4_m(m, 3)
-    tight = Guards(max_hom_scan=8)
-    message = "hom scan on an 3-ary chain of r2_reg+reg: needs 16 > bound 8"
-    with pytest.raises(GuardExceeded) as exc:
-        is_c4_m(m, 3, guards=tight)
-    assert str(exc.value) == outcome(is_c4_m, m, 3, tight) == message
-    assert is_c4_m(m, 3) is verdict is tuple_scan(fresh(m), 3)
+def test_an_arity_of_a_billion_costs_nothing():
+    m = regular_module(poly_quotient_algebra(2, [0, 0, 1]))
+    assert is_c4_m(m, 10 ** 9) is is_c4(m) is True

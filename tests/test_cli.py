@@ -76,8 +76,8 @@ def test_analyze_extension_grid(runner, r2_file):
 
 
 def test_analyze_long_chains_exit_cleanly(runner, r2_file, tmp_path):
-    # 2000-member chains are walked without recursion, and C4[m] agrees
-    # with the binary cell
+    # an arity of 2000 costs what the binary cell does, and C4[m] agrees
+    # with it
     out = tmp_path / "report.json"
     result = runner.invoke(main, ["analyze", r2_file, "--ring",
                                   "--extensions", "2,1;2000,1", "--out", str(out)])

@@ -11,9 +11,9 @@ import itertools
 
 import pytest
 
-from c4lab import conditions, linalg
-from c4lab.corpus import corpus_builtin, corpus_rings, local_square_zero_algebra
-from c4lab.guards import DEFAULT_GUARDS, GuardExceeded
+from c4lab import linalg
+from c4lab.corpus import corpus_builtin, corpus_rings
+from c4lab.guards import GuardExceeded
 from c4lab.modules import (RightModule, Submodule, all_submodules, direct_sum,
                            fingerprint, hom_space_matrices, iso_test, regular_module)
 
@@ -112,15 +112,3 @@ def test_an_end_scan_over_the_bound_raises():
     # End(R^3) = M_3(R) has 2^18 elements
     with pytest.raises(GuardExceeded, match="endomorphism scan of copy: needs 262144"):
         iso_test(big, copy, max_end=2 ** 17)
-
-
-def test_a_cached_swcs_answer_reruns_its_isomorphism_guards(monkeypatch):
-    ring = local_square_zero_algebra(2, 2)
-    m = regular_module(ring)
-    assert len(conditions.obs_swcs(m, guards=DEFAULT_GUARDS)) == 3
-
-    def over_the_bound(x, y, max_end):
-        raise GuardExceeded("endomorphism scan", 2, 1)
-    monkeypatch.setattr(conditions, "iso_test", over_the_bound)
-    with pytest.raises(GuardExceeded):
-        conditions.obs_swcs(m, guards=DEFAULT_GUARDS)
