@@ -178,6 +178,19 @@ def test_a_sum_outside_the_corpus_answers_as_c4():
                 is_c4, m, guards=guards)
 
 
+def test_a_warm_verdict_still_checks_the_chain_guards():
+    # a verdict computed under the default guards is not returned from a
+    # cache under a bound it would exceed: the guards C4[3] checks are C4's
+    m = fresh(corpus_module("r2.r2_reg+reg"))
+    verdict = is_c4_m(m, 3)
+    tight = Guards(max_hom_scan=2)
+    message = "hom scan on a decomposition of r2_reg+reg: needs 4 > bound 2"
+    with pytest.raises(GuardExceeded) as exc:
+        is_c4_m(m, 3, guards=tight)
+    assert str(exc.value) == outcome(is_c4_m, m, 3, guards=tight) == message
+    assert is_c4_m(m, 3) is verdict is tuple_scan(fresh(m), 3)
+
+
 SWEEP = [Guards(max_hom_scan=hom, max_end_enumeration=end)
          for hom in (1, 2, 4, 8, 16, DEFAULT_GUARDS.max_hom_scan)
          for end in (4, 16, DEFAULT_GUARDS.max_end_enumeration)]

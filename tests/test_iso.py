@@ -11,9 +11,9 @@ import itertools
 
 import pytest
 
-from c4lab import linalg
-from c4lab.corpus import corpus_builtin, corpus_rings
-from c4lab.guards import GuardExceeded
+from c4lab import conditions, linalg
+from c4lab.corpus import corpus_builtin, corpus_rings, local_square_zero_algebra
+from c4lab.guards import DEFAULT_GUARDS, GuardExceeded, Guards
 from c4lab.modules import (RightModule, Submodule, all_submodules, direct_sum,
                            fingerprint, hom_space_matrices, iso_test, regular_module)
 
@@ -112,3 +112,20 @@ def test_an_end_scan_over_the_bound_raises():
     # End(R^3) = M_3(R) has 2^18 elements
     with pytest.raises(GuardExceeded, match="endomorphism scan of copy: needs 262144"):
         iso_test(big, copy, max_end=2 ** 17)
+
+
+def test_a_cached_swcs_answer_reruns_its_isomorphism_guards(monkeypatch):
+    # obs_swcs caches under its Guards: the same guards reuse the answer,
+    # and a smaller End bound reruns the isomorphism tests under it
+    ring = local_square_zero_algebra(2, 2)
+    m = regular_module(ring)
+    pairs = conditions.obs_swcs(m, guards=DEFAULT_GUARDS)
+    assert len(pairs) == 3
+
+    def over_the_bound(x, y, max_end):
+        raise GuardExceeded("isomorphism test", 2, max_end)
+    monkeypatch.setattr(conditions, "iso_test", over_the_bound)
+    assert conditions.obs_swcs(m, guards=DEFAULT_GUARDS) is pairs
+    smaller = Guards(max_end_enumeration=2 ** 10)
+    with pytest.raises(GuardExceeded, match="isomorphism test: needs 2 > bound 1024"):
+        conditions.obs_swcs(m, guards=smaller)
