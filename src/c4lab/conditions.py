@@ -10,7 +10,13 @@ index, the combined strong condition with its decomposition search, and
 the arity/depth extensions.
 
 The unit of the C4 scan is one decomposition's list of defect
-witnesses, cached per summand pair: `def_c4` concatenates them.  Under
+witnesses, cached per summand pair: `def_c4` concatenates them.  A rule
+declared `injective_only` (the default one is) calls every non-injective
+datum valid, so for it the scan drops each block's non-injective maps
+with one batched rank before evaluating any map; other rules see every
+map.  Kernels, images and summands are Submodules shared per canonical
+basis (`_carrier`), so equal ones share their cached abstract module,
+fingerprint and summand test.  Under
 the default rule C4[m] holds exactly when C4 does, so `is_c4_m` answers
 with `is_c4` (see its proof).  `def_c4star` and `obs_swcs` check guards
 inside their computations, so their caches are keyed by the Guards.
@@ -88,24 +94,27 @@ def _end_scan(m: RightModule, homs: np.ndarray, total: int) -> tuple[Decompositi
         out.append(Decomposition(m, zero, zero,
                                  ModuleHom(m, m, linalg.zeros(0, 0), check=False)))
         return tuple(out)
-    # one Submodule object per summand: the kernel of e is the image of the
-    # idempotent 1 - e, and sharing the objects shares their cached
-    # abstract modules and hom spaces across decompositions
-    summands: dict[bytes, Submodule] = {}
-
-    def summand(basis):
-        return memo(summands, basis.tobytes(), lambda: Submodule(m, basis, check=False))
-
     for block in linalg.coeff_blocks(total, k, m.p):
         cands = linalg.combine(block, homs, m.p)
         sq = linalg.matmul_mod(cands, cands, m.p)
         mask = np.all(sq == cands, axis=(1, 2))
         for t in np.nonzero(mask)[0]:
             e = cands[t]
-            out.append(Decomposition(m, summand(linalg.row_space(e, m.p)),
-                                     summand(linalg.left_nullspace(e, m.p)),
+            # the kernel of e is the image of the idempotent 1 - e
+            out.append(Decomposition(m, _carrier(m, linalg.row_space(e, m.p)),
+                                     _carrier(m, linalg.left_nullspace(e, m.p)),
                                      ModuleHom(m, m, e, check=False)))
     return tuple(out)
+
+
+def _carrier(m: RightModule, basis: np.ndarray) -> Submodule:
+    """The one Submodule of m with this canonical (RREF) basis.
+
+    Sharing the object across decompositions and witnesses shares its
+    cached abstract module, and with it that module's hom spaces and
+    fingerprint."""
+    return memo(m._cache, ("carrier", basis.tobytes()),
+                lambda: Submodule(m, basis, check=False))
 
 
 def summand_list(
@@ -132,15 +141,20 @@ class WitnessRule:
 
     evaluate(parent, dec, f, kernel, image) returns (verdict, detail)
     with verdict in {"valid", "defect"}; detail names the failed clause.
+
+    injective_only is a fact the rule states about itself, not a setting:
+    it promises that evaluate calls every datum with a non-injective f
+    valid, so the C4 scan may skip those maps without evaluating them.
     """
 
     rule_id: str
     description: str
     evaluate: callable
+    injective_only: bool = False
 
 
 def _mono_image_splits(parent, dec, f, kernel, image):
-    if f.is_injective() and is_summand(image, parent) is None:
+    if kernel.dim == 0 and is_summand(image, parent) is None:
         return "defect", "injective-image-not-summand"
     return "valid", ""
 
@@ -167,6 +181,7 @@ register_rule(WitnessRule(
     description="every injective map between complementary summands has "
                 "a direct-summand image",
     evaluate=_mono_image_splits,
+    injective_only=True,
 ))
 
 
@@ -204,10 +219,13 @@ def evaluate_witness(m: RightModule, dec: Decomposition, f: ModuleHom,
         raise ValueError("decomposition does not belong to the module")
     if f.source is not dec.a.as_module() or f.target is not dec.b.as_module():
         raise ValueError("morphism endpoints do not match the decomposition")
-    kernel = Submodule(m, dec.a.to_parent(linalg.left_nullspace(f.matrix, m.p)),
-                       check=False)
-    image = Submodule(m, dec.b.to_parent(f.matrix), check=False)
     rule = get_rule(rule_id)
+    # B's basis rows are independent, so dim im f = rank f, and an
+    # injective f has the zero kernel with no nullspace to compute
+    image = _carrier(m, linalg.row_space(dec.b.to_parent(f.matrix), m.p))
+    kernel_rows = (linalg.zeros(0, m.dim) if image.dim == dec.a.dim
+                   else dec.a.to_parent(linalg.left_nullspace(f.matrix, m.p)))
+    kernel = _carrier(m, linalg.row_space(kernel_rows, m.p))
     verdict, detail = rule.evaluate(m, dec, f, kernel, image)
     return WitnessRecord(dec, f, kernel, image, rule_id, verdict, detail)
 
@@ -226,8 +244,13 @@ def def_c4(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
 def _dec_defects(m: RightModule, dec: Decomposition,
                  rule_id: str) -> tuple[WitnessRecord, ...]:
     """The defect witnesses f: A -> B of one decomposition M = A + B;
-    `def_c4` checks its hom-scan guard p^(dim Hom(A, B)) first."""
+    `def_c4` checks its hom-scan guard p^(dim Hom(A, B)) first.  Under an
+    `injective_only` rule each block keeps only the maps of full rank
+    dim A before any is evaluated."""
     def scan():
+        injective_only = get_rule(rule_id).injective_only
+        if injective_only and dec.a.dim > dec.b.dim:
+            return ()       # rank f <= dim B < dim A: no f is injective
         a_mod = dec.a.as_module()
         b_mod = dec.b.as_module()
         homs = hom_space_matrices(a_mod, b_mod)
@@ -235,8 +258,10 @@ def _dec_defects(m: RightModule, dec: Decomposition,
         defects = []
         for block in linalg.coeff_blocks(m.p ** k, k, m.p):
             mats = linalg.combine(block, homs, m.p)
-            for t in range(mats.shape[0]):
-                f = ModuleHom(a_mod, b_mod, mats[t], check=False)
+            if injective_only:
+                mats = mats[linalg.batch_rank(mats, m.p) == dec.a.dim]
+            for mat in mats:
+                f = ModuleHom(a_mod, b_mod, mat, check=False)
                 rec = evaluate_witness(m, dec, f, rule_id)
                 if rec.verdict == "defect":
                     defects.append(rec)

@@ -34,6 +34,9 @@ Kernels:
     product whenever k*(p-1)^2 < 2^63.
 * ``combine`` sums a stack of matrices weighted by coefficient rows, as
   one ``matmul_mod`` on the flattened stack.
+* ``batch_rank`` gives the ranks of a stack of matrices from one
+  elimination over the whole stack (the injectivity filter of a hom
+  scan).
 * ``distinct_row_spaces`` returns the distinct canonical row-space bases
   of a stack of matrices (the cyclic submodules of a lattice scan).  Over
   GF(2) it echelonizes each matrix on packed rows with a pivot table
@@ -245,6 +248,42 @@ def rank(mat, p: int) -> int:
         return 0
     _, piv = rref(a, p)
     return len(piv)
+
+
+def batch_rank(stack, p: int) -> np.ndarray:
+    """Ranks of the matrices of an (n, r, c) stack over GF(p), as an (n,)
+    int64 array.
+
+    One elimination runs on the whole stack, a column at a time.  Each
+    matrix takes its first row with a nonzero entry in the column among
+    the rows below its current rank as the pivot row, moves it to row
+    rank, and clears the column below it by r_i <- r_i * a - pivot * b
+    (a the pivot entry, b row i's entry), which scales rows by nonzero
+    units only and needs no inverse; every term stays below p^2 < 2^62.
+    """
+    a = as_gf(stack, p)
+    n, r, c = a.shape
+    ranks = np.zeros(n, dtype=np.int64)
+    if not (n and r and c):
+        return ranks
+    rows = np.arange(r)
+    for col in range(c):
+        live = (rows >= ranks[:, None]) & (a[:, :, col] != 0)
+        hit = np.nonzero(live.any(axis=1))[0]
+        if not hit.size:
+            continue
+        top = ranks[hit]
+        piv = live[hit].argmax(axis=1)
+        pivot_rows = a[hit, piv]
+        a[hit, piv] = a[hit, top]
+        a[hit, top] = pivot_rows
+        below = np.where(rows > top[:, None], a[hit, :, col], 0)
+        a[hit] = (a[hit] * pivot_rows[:, col, None, None]
+                  - below[:, :, None] * pivot_rows[:, None, :]) % p
+        ranks[hit] += 1
+        if ranks.min() == r:
+            break
+    return ranks
 
 
 def row_space(mat, p: int) -> np.ndarray:

@@ -165,14 +165,12 @@ class Submodule:
         parent, p = self.parent, self.parent.p
         if self.dim == parent.dim:
             return parent
-        action = np.zeros((parent.ring.dim, self.dim, self.dim), dtype=np.int64)
-        if self.dim:
-            acted = linalg.matmul_mod(self.basis, parent.action, p)
-            for j in range(parent.ring.dim):
-                coeff = linalg.solve_left_many(self.basis, acted[j], p)
-                if coeff is None:
-                    raise ValueError("span is not closed under the ring action")
-                action[j] = coeff
+        # one solve gives the action of every ring basis element at once
+        acted = linalg.matmul_mod(self.basis, parent.action, p)
+        coeff = linalg.solve_left_many(self.basis, acted.reshape(-1, parent.dim), p)
+        if coeff is None:
+            raise ValueError("span is not closed under the ring action")
+        action = coeff.reshape(parent.ring.dim, self.dim, self.dim)
         return RightModule(parent.ring, action,
                            name=f"{parent.name}|sub{self.dim}", validate=False)
 

@@ -232,20 +232,34 @@ def test_flag_consistency(reg, ms, k_alg):
         assert is_strongly_c4star(m) == (len(strong_defect(m)) == 0)
 
 
-def test_pluggable_rule(ms):
-    # a stricter variant: also demands that kernels split
-    def kernel_splits(parent, dec, f, kernel, image):
-        if is_summand(kernel, parent) is None:
-            return "defect", "kernel-not-summand"
-        if f.is_injective() and is_summand(image, parent) is None:
-            return "defect", "injective-image-not-summand"
-        return "valid", ""
+def kernel_splits(parent, dec, f, kernel, image):
+    """A stricter variant of the default rule: kernels must split too."""
+    if is_summand(kernel, parent) is None:
+        return "defect", "kernel-not-summand"
+    if f.is_injective() and is_summand(image, parent) is None:
+        return "defect", "injective-image-not-summand"
+    return "valid", ""
 
-    rule_id = "mono-image-splits+kernel-splits"
+
+def every_datum_a_defect(parent, dec, f, kernel, image):
+    return "defect", "any"
+
+
+KERNEL_SPLITS = "mono-image-splits+kernel-splits"
+EVERY_DATUM = "every-datum-a-defect"
+
+
+def registered(rule_id, evaluate, injective_only=False):
+    """rule_id, registered once per session under the given evaluate."""
     try:
         get_rule(rule_id)
     except ValueError:
-        register_rule(WitnessRule(rule_id, "test variant", kernel_splits))
+        register_rule(WitnessRule(rule_id, "test rule", evaluate, injective_only))
+    return rule_id
+
+
+def test_pluggable_rule(ms):
+    rule_id = registered(KERNEL_SPLITS, kernel_splits)
     assert not is_c4(ms, rule_id=rule_id)
     with pytest.raises(ValueError, match="already registered"):
         register_rule(WitnessRule("mono-image-splits", "dup", kernel_splits))
@@ -257,12 +271,7 @@ def test_chain_condition_takes_only_the_default_rule(plane):
     # under a rule that calls every datum a defect, F2 + F2 fails C4 and
     # C4[2]; C4[m] for m >= 3 is only defined for the default rule, so it
     # refuses rather than answer with the default rule's verdict
-    rule_id = "every-datum-a-defect"
-    try:
-        get_rule(rule_id)
-    except ValueError:
-        register_rule(WitnessRule(rule_id, "test rule",
-                                  lambda parent, dec, f, kernel, image: ("defect", "any")))
+    rule_id = registered(EVERY_DATUM, every_datum_a_defect)
     assert not is_c4(plane, rule_id=rule_id)
     assert not is_c4_m(plane, 2, rule_id=rule_id)
     for arity in (3, 4):
@@ -303,3 +312,126 @@ def test_zero_module_report(r2):
     assert report.obstruction_index == INFINITY
     assert report.decomposition is not None
     assert not report.partial
+
+
+# ---------------------------------------------------------------------------
+# the batched hom scan against the per-map scan
+# ---------------------------------------------------------------------------
+
+def fresh(m):
+    """The same module with empty caches."""
+    return RightModule(m.ring, m.action, name=m.name, validate=False)
+
+
+def corpus_and_lattice_modules():
+    """Every distinct corpus module and lattice member, with empty caches."""
+    from c4lab.corpus import corpus_builtin
+    from c4lab.modules import all_submodules
+
+    distinct = {}
+    for entry in corpus_builtin():
+        for x in all_submodules(entry.module).members:
+            x_mod = x.as_module()
+            distinct.setdefault((id(x_mod.ring), x_mod.action.tobytes()), x_mod)
+    return [fresh(m) for m in distinct.values()]
+
+
+def per_map_scan(m, dec, rule_id):
+    """The defects of one decomposition as `_dec_defects` found them before
+    the batched injectivity filter: every map of Hom(A, B) is evaluated,
+    with a kernel and an image built afresh for each."""
+    from c4lab import linalg
+    from c4lab.modules import Submodule, hom_space_matrices
+
+    rule = get_rule(rule_id)
+    a_mod, b_mod = dec.a.as_module(), dec.b.as_module()
+    homs = hom_space_matrices(a_mod, b_mod)
+    k = homs.shape[0]
+    out = []
+    for block in linalg.coeff_blocks(m.p ** k, k, m.p):
+        mats = linalg.combine(block, homs, m.p)
+        for t in range(mats.shape[0]):
+            f = ModuleHom(a_mod, b_mod, mats[t], check=False)
+            kernel = Submodule(m, dec.a.to_parent(linalg.left_nullspace(f.matrix, m.p)),
+                               check=False)
+            image = Submodule(m, dec.b.to_parent(f.matrix), check=False)
+            verdict, detail = rule.evaluate(m, dec, f, kernel, image)
+            if verdict == "defect":
+                out.append((f.matrix.tolist(), kernel.basis.tolist(), image.basis.tolist(),
+                            verdict, detail))
+    return out
+
+
+@pytest.mark.parametrize("rule", ["default", "kernel-splits", "every-datum"])
+def test_batched_witness_scan_matches_the_per_map_scan(rule):
+    from c4lab.conditions import DEFAULT_RULE_ID, _dec_defects
+
+    rule_id = {
+        "default": DEFAULT_RULE_ID,
+        "kernel-splits": registered(KERNEL_SPLITS, kernel_splits),
+        "every-datum": registered(EVERY_DATUM, every_datum_a_defect),
+    }[rule]
+    modules = corpus_and_lattice_modules()
+    assert len(modules) >= 40
+    total = 0
+    for m in modules:
+        for dec in enumerate_decompositions(m):
+            want = per_map_scan(m, dec, rule_id)
+            got = [(rec.f.matrix.tolist(), rec.kernel.basis.tolist(),
+                    rec.image.basis.tolist(), rec.verdict, rec.detail)
+                   for rec in _dec_defects(m, dec, rule_id)]
+            assert got == want, (m.name, dec.a.dim, dec.b.dim)
+            total += len(want)
+    assert total > 0
+
+
+def test_an_injective_only_rule_sees_only_injective_maps():
+    from c4lab import linalg
+    from c4lab.modules import hom_space_matrices
+
+    seen = []
+
+    def spy(parent, dec, f, kernel, image):
+        seen.append((parent, dec, f.matrix.tobytes()))
+        return "valid", ""
+
+    rule_id = registered("spy-injective-only", spy, injective_only=True)
+    for m in corpus_and_lattice_modules():
+        seen.clear()
+        assert is_c4(m, rule_id=rule_id)
+        injective = []
+        for dec in enumerate_decompositions(m):
+            homs = hom_space_matrices(dec.a.as_module(), dec.b.as_module())
+            k = homs.shape[0]
+            for row in linalg.decode_codes(range(m.p ** k), k, m.p):
+                mat = linalg.combine(row, homs, m.p)
+                if linalg.rank(mat, m.p) == dec.a.dim:
+                    injective.append((m, dec, mat.tobytes()))
+        # exactly the injective maps, in scan order, and nothing else
+        assert [(id(x), id(d), f) for x, d, f in seen] == \
+            [(id(x), id(d), f) for x, d, f in injective], m.name
+
+
+def test_equal_images_share_one_carrier_and_one_fingerprint(monkeypatch, reg):
+    from c4lab import modules
+
+    rr, _, _ = direct_sum(reg, reg, name="R+R")
+    x = fresh(rr)
+    # R + R is C4 but not C4*: its 3-dimensional submodules have defects
+    defects = [rec for sub, rec in def_c4star(x) if sub.dim == 3]
+    by_key = {}
+    for rec in defects:
+        by_key.setdefault(rec.image.key(), []).append(rec.image)
+    repeated = [images for images in by_key.values() if len(images) > 1]
+    assert repeated
+    assert all(img is images[0] for images in repeated for img in images)
+
+    calls = []
+    real = modules.radical_series_dims
+    monkeypatch.setattr(modules, "radical_series_dims",
+                        lambda mod: calls.append(mod) or real(mod))
+    shape_classes(defects)
+    shape_classes(defects)
+    # one fingerprint per distinct image, however often it recurs
+    assert len(calls) == len(by_key)
+    assert len({id(mod) for mod in calls}) == len(calls)

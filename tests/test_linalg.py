@@ -345,3 +345,36 @@ def test_answers_are_deterministic_and_iso_verdicts_are_bools():
             if calls_iso and none_test:
                 found.append(f"{path.name}:{node.lineno}: iso_test(...) compared with None")
     assert not found, found
+
+
+@pytest.mark.parametrize("p", [2, 3, 2 ** 31 - 1])
+def test_batch_rank_matches_rank(p):
+    rng = np.random.default_rng(p % 1000)
+    for n, r, c in [(0, 3, 3), (0, 0, 0), (4, 0, 3), (4, 3, 0), (4, 0, 0),
+                    (200, 3, 4), (200, 4, 3), (100, 5, 5), (50, 1, 6), (50, 6, 1)]:
+        # rows zeroed at random, and products of thin factors, lower the rank
+        stack = rng.integers(0, p, size=(n, r, c)) * rng.integers(0, 2, size=(n, r, 1))
+        if n and r and c:
+            thin = linalg.matmul_mod(rng.integers(0, p, size=(n, r, 1)),
+                                     rng.integers(0, p, size=(n, 1, c)), p)
+            stack = np.concatenate([stack % p, thin])
+        ranks = linalg.batch_rank(stack % p, p)
+        assert ranks.dtype == np.int64 and ranks.shape == (stack.shape[0],)
+        assert ranks.tolist() == [linalg.rank(mat, p) for mat in stack % p]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_batch_rank_against_row_space_count(p):
+    """Brute-force oracle: the row space of a rank-k matrix has p^k
+    vectors, counted by enumerating all p^r combinations of its rows."""
+    import itertools
+
+    rng = np.random.default_rng(11 * p)
+    for r, c in [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)]:
+        stack = rng.integers(0, p, size=(40, r, c)) * rng.integers(0, 2, size=(40, r, 1))
+        stack = np.concatenate([np.zeros((1, r, c), dtype=np.int64), stack % p])
+        for mat, got in zip(stack, linalg.batch_rank(stack, p).tolist()):
+            rows = mat.tolist()
+            span = {tuple(sum(x * row[j] for x, row in zip(coeffs, rows)) % p for j in range(c))
+                    for coeffs in itertools.product(range(p), repeat=r)}
+            assert p ** got == len(span)
