@@ -10,6 +10,8 @@ f(v) = v @ f.matrix and commute with the action.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from . import linalg
@@ -250,9 +252,11 @@ def hom_space_matrices(m: RightModule, n: RightModule) -> np.ndarray:
     """Canonical basis of Hom(M, N) as a (k, dim M, dim N) array.
 
     Solves the commutation system rho_M(b) @ F = F @ rho_N(b) for all
-    ring basis elements b.
+    ring basis elements b.  The memo on m holds N weakly, so a long-lived
+    M (a progenerator) does not keep alive every module it maps into.
     """
-    return memo(m._cache, ("homspace", n), lambda: _hom_space(m, n))
+    homs = memo(m._cache, "homspace", weakref.WeakKeyDictionary)
+    return memo(homs, n, lambda: _hom_space(m, n))
 
 
 def _hom_space(m: RightModule, n: RightModule) -> np.ndarray:

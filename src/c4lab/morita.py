@@ -277,7 +277,9 @@ def apply_functor(prog: Progenerator, m: RightModule) -> TransportedModule:
     """Hom(P, M) with right S-action by precomposition."""
     if m.ring is not prog.ring:
         raise ValueError("module is not over the progenerator's ring")
-    return memo(prog.module._cache, ("transported", m), lambda: _transport(prog, m))
+    # cached on m, so the progenerator does not keep every transported
+    # module alive; the entry holds prog.module, so its id stays unique
+    return memo(m._cache, ("transported", id(prog.module)), lambda: _transport(prog, m))
 
 
 def _transport(prog: Progenerator, m: RightModule) -> TransportedModule:

@@ -333,3 +333,16 @@ def test_quotients_match_an_eliminated_basis_on_the_corpus():
                               .reshape(k, k, k))
         assert np.array_equal(quot.one, ref(ring.one.reshape(1, -1))[0])
         assert np.array_equal(project(linalg.eye(ring.dim)), ref(linalg.eye(ring.dim)))
+
+
+def test_a_hom_space_memo_keeps_its_target_only_weakly(reg, r2):
+    import gc
+    import weakref
+    from c4lab.modules import hom_space_matrices
+    s = RightModule(r2, simple_modules(r2)[0].action, name="S")
+    homs = hom_space_matrices(reg, s)
+    assert hom_space_matrices(reg, s) is homs
+    gone = weakref.ref(s)
+    del s
+    gc.collect()
+    assert gone() is None

@@ -213,3 +213,16 @@ def test_end_algebra_keys_its_cache_on_projective():
     assert projective.algebra._known_radical is not None
     assert jacobson_radical(projective.algebra).dim == 1
     assert end_algebra(m) is plain and end_algebra(m, projective=True) is projective
+
+
+def test_a_progenerator_keeps_no_transported_module_alive(prog, r2):
+    import gc
+    import weakref
+    m = direct_sum(regular_module(r2), simple_modules(r2)[0], name="R+S")[0]
+    tr = apply_functor(prog, m)
+    assert apply_functor(prog, m) is tr
+    assert apply_functor(build_progenerator(r2, ("matrix", 1)), m) is not tr
+    gone = [weakref.ref(m), weakref.ref(tr.image)]
+    del m, tr
+    gc.collect()
+    assert all(ref() is None for ref in gone)
