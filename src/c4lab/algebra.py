@@ -159,37 +159,6 @@ class FiniteAlgebra:
                                                 self.dim, self.p),
                     guard=(f"element enumeration of {self.name}", n, guard))
 
-    def generator_indices(self) -> list[int]:
-        """Basis indices generating the algebra as a unital algebra.
-
-        Greedy: walk the basis, keep an element only when it lies outside
-        the unital subalgebra generated so far.  Commutant computations
-        only need these indices.
-        """
-        return memo(self._cache, "gens", self._generator_scan)
-
-    def _generator_scan(self) -> list[int]:
-        p = self.p
-        span = linalg.row_space(self.one.reshape(1, -1), p)
-        gens: list[int] = []
-        ident = linalg.eye(self.dim)
-        for i in range(self.dim):
-            if linalg.in_row_space(ident[i: i + 1], span, p):
-                continue
-            gens.append(i)
-            span = linalg.sum_rows(span, ident[i: i + 1], p)
-            while True:
-                # prods[u,v,k] = sum_ij span[u,i] span[v,j] sc[i,j,k]
-                left = linalg.matmul_mod(span, self.sc.reshape(self.dim, -1), p)
-                prods = linalg.matmul_mod(span, left.reshape(-1, self.dim, self.dim), p)
-                bigger = linalg.sum_rows(span, prods.reshape(-1, self.dim), p)
-                if bigger.shape[0] == span.shape[0]:
-                    break
-                span = bigger
-            if span.shape[0] == self.dim:
-                break
-        return gens
-
     def unit_table(self, guard: int = 2 ** 20) -> np.ndarray:
         """Boolean table over element codes: True iff the element is a unit."""
         rows = self.all_element_rows(guard)

@@ -249,46 +249,74 @@ class ModuleHom:
 # ---------------------------------------------------------------------------
 
 def hom_space_matrices(m: RightModule, n: RightModule) -> np.ndarray:
-    """Canonical basis of Hom(M, N) as a (k, dim M, dim N) array.
+    """Canonical basis of Hom(M, N) as a (h, dim M, dim N) array.
 
-    Solves the commutation system rho_M(b) @ F = F @ rho_N(b) for all
-    ring basis elements b.  The memo on m holds N weakly, so a long-lived
-    M (a progenerator) does not keep alive every module it maps into.
+    A hom F is fixed by the images y_i = g_i @ F of generators g_1..g_k
+    of M, and a tuple y in N^k extends to a hom exactly when it respects
+    the relations of the presentation phi: R^k -> M (``_presentation``):
+    sum_{i,j} r_ij y_i rho_N(b_j) = 0 for every r in ker phi.  That system
+    has k * dim N unknowns.  Each solution y gives F from the section of
+    phi, and the basis is the RREF of the flattened maps.  The memo on m
+    holds N weakly, so a long-lived M (a progenerator) does not keep
+    alive every module it maps into.
     """
     homs = memo(m._cache, "homspace", weakref.WeakKeyDictionary)
-    return memo(homs, n, lambda: _hom_space(m, n))
+    return memo(homs, n, lambda: _hom_from_presentation(m, n))
 
 
-def _hom_space(m: RightModule, n: RightModule) -> np.ndarray:
+def _presentation(m: RightModule):
+    """(gens, relations, rows, section) for a presentation phi: R^k -> M.
+
+    Row (i, j) of Phi is g_i rho_M(b_j) for the generators g_i = e_gens[i],
+    so phi(r) = r @ Phi.  One elimination of [spin^T | I], where spin
+    stacks e_i rho_M(b_j) for every i, gives [E spin^T | E]; its pivots are
+    the rows independent of all earlier ones.  gens (a greedy spin-up) are
+    the i whose block holds a pivot, rows are the pivots within Phi, and
+    section = E^T inverts Phi[rows].  Each other row t of Phi equals
+    Phi[t] @ section @ Phi[rows]: one relation per row, a basis of ker phi.
+    """
+    p, a, d = m.p, m.dim, m.ring.dim
+    spin = m.action.transpose(1, 0, 2).reshape(a * d, a)
+    red, piv = linalg.rref(np.concatenate([spin.T, linalg.eye(a)], axis=1), p,
+                           n_pivot_cols=a * d)
+    gens = sorted({c // d for c in piv})
+    phi = spin.reshape(a, d, a)[gens].reshape(-1, a)
+    rows = [gens.index(c // d) * d + c % d for c in piv]
+    section = red[:, a * d:].T.copy()
+    others = np.ones(phi.shape[0], dtype=bool)
+    others[rows] = False
+    relations = linalg.eye(phi.shape[0])[others]
+    relations[:, rows] = -linalg.matmul_mod(phi[others], section, p) % p
+    return gens, relations, rows, section
+
+
+def _hom_from_presentation(m: RightModule, n: RightModule) -> np.ndarray:
     if m.ring is not n.ring:
         raise ValueError("hom between modules over different rings")
-    p = m.p
+    p, d = m.p, m.ring.dim
     a, b = m.dim, n.dim
     if a == 0 or b == 0:
         mats = np.zeros((0, a, b), dtype=np.int64)
     else:
-        # Commuting with a generating set of the algebra commutes with all
-        # of it (the commutant is a unital subalgebra), so the system only
-        # ranges over generator indices.  Unknown F is flattened row-major
-        # as x[(s, t)] = F[s, t]; each equation column is one entry (r, c)
-        # of rho_M(j) @ F - F @ rho_N(j), so row (s, x) of that column is
-        # rho_M(j)[r, s] [x == c] - [s == r] rho_N(j)[x, c].  Solved one
-        # generator at a time, restricting the solution space at each stage.
-        sols = None
-        for j in m.ring.generator_indices():
-            t1 = m.action[j].T[:, None, :, None] * linalg.eye(b)[None, :, None, :]
-            t2 = linalg.eye(a)[:, None, :, None] * n.action[j][None, :, None, :]
-            block = ((t1 - t2) % p).reshape(a * b, a * b)
-            if sols is None:
-                sols = linalg.left_nullspace(block, p)
-            else:
-                coeffs = linalg.left_nullspace(linalg.matmul_mod(sols, block, p), p)
-                sols = linalg.matmul_mod(coeffs, sols, p)
-            if sols.shape[0] == 0:
-                break
-        if sols is None:
-            sols = linalg.eye(a * b)
-        mats = linalg.row_space(sols, p).reshape(-1, a, b)
+        gens, relations, rows, section = memo(m._cache, "presentation",
+                                              lambda: _presentation(m))
+        k, r = len(gens), relations.shape[0]
+        if r:
+            # entry (i, s; rel, c) is the coefficient of y_i[s] in entry c
+            # of relation rel: sum_j rel_ij rho_N(b_j)[s, c]
+            coef = linalg.matmul_mod(relations.reshape(r * k, d),
+                                     n.action.reshape(d, b * b), p)
+            ys = linalg.left_nullspace(
+                coef.reshape(r, k, b, b).transpose(1, 2, 0, 3).reshape(k * b, r * b), p)
+        else:
+            ys = linalg.eye(k * b)
+        h = ys.shape[0]
+        # images[j, t, i] = y_i rho_N(b_j) for solution t; F = section @ images[rows]
+        images = linalg.matmul_mod(ys.reshape(h * k, b), n.action, p).reshape(d, h, k, b)
+        gen_of, elt_of = np.divmod(rows, d)
+        picked = images[elt_of, :, gen_of].transpose(1, 0, 2)
+        maps = linalg.matmul_mod(section, picked, p)
+        mats = linalg.row_space(maps.reshape(h, a * b), p).reshape(-1, a, b)
     mats.setflags(write=False)
     return mats
 
@@ -491,7 +519,9 @@ def essential_in(n: Submodule, a: Submodule) -> bool:
     """N <=e A for submodules N <= A of a shared parent."""
     if not a.contains(n):
         return False
-    soc_a = linalg.intersect_rows(a.basis, socle(a.parent).basis, a.parent.p)
+    # soc(A) = A ∩ soc(M), which depends on A alone
+    soc_a = memo(a._cache, "socle", lambda: linalg.intersect_rows(
+        a.basis, socle(a.parent).basis, a.parent.p))
     return n.contains_rows(soc_a) if soc_a.shape[0] else True
 
 

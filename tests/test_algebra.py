@@ -232,23 +232,3 @@ def test_product_identity():
     assert np.array_equal(ff.one, [1, 1])
     with pytest.raises(ValueError, match="prime"):
         product_algebra(field_algebra(2), field_algebra(3))
-
-
-def test_generator_indices_generate():
-    for alg in (matrix_algebra(field_algebra(2), 2),
-                upper_triangular_algebra(2, 2),
-                poly_quotient_algebra(2, [0, 0, 0, 1])):
-        gens = alg.generator_indices()
-        assert len(gens) <= alg.dim
-        # closure of {1} + generators spans the algebra
-        from c4lab import linalg
-        span = linalg.row_space(
-            np.concatenate([alg.one.reshape(1, -1), linalg.eye(alg.dim)[gens]]),
-            alg.p)
-        while True:
-            prods = np.einsum("ui,vj,ijk->uvk", span, span, alg.sc) % alg.p
-            bigger = linalg.sum_rows(span, prods.reshape(-1, alg.dim), alg.p)
-            if bigger.shape[0] == span.shape[0]:
-                break
-            span = bigger
-        assert span.shape[0] == alg.dim

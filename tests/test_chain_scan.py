@@ -131,8 +131,7 @@ def distinct_modules(modules):
 
 
 @pytest.mark.parametrize("arity", [3, 4])
-def test_frontier_matches_tuple_scan_on_the_corpus_and_its_lattices(arity):
-    # named after the frontier scan it first checked; the name keeps the test's id
+def test_c4_m_matches_tuple_scan_on_the_corpus_and_its_lattices(arity):
     # every corpus module is the top member of its own lattice
     members = [x.as_module() for entry in corpus_builtin()
                for x in all_submodules(entry.module).members]

@@ -4,18 +4,28 @@ import numpy as np
 import pytest
 
 from c4lab import linalg
-from c4lab.algebra import field_algebra, matrix_algebra, poly_quotient_algebra
-from c4lab.corpus import simple_modules
+from c4lab.algebra import (
+    FiniteAlgebra,
+    field_algebra,
+    jacobson_radical,
+    matrix_algebra,
+    poly_quotient_algebra,
+    upper_triangular_algebra,
+)
+from c4lab.corpus import corpus_builtin, local_square_zero_algebra, simple_modules
 from c4lab.modules import (
     RightModule,
     Submodule,
     all_submodules,
     classical_predicates,
     composition_length,
+    _presentation,
     direct_sum,
+    essential_in,
     essential_oracle,
     hom_basis,
     hom_dim,
+    hom_space_matrices,
     is_closed,
     is_essential,
     is_orthogonal,
@@ -27,6 +37,7 @@ from c4lab.modules import (
     is_summand_square_free,
     iso_test,
     quotient_module,
+    radical_submodule,
     regular_module,
     socle,
     submodule_span,
@@ -123,6 +134,173 @@ def test_hom_commutes(reg, s):
             assert np.array_equal(left, right)
 
 
+def commutation_solve(m, n):
+    """Oracle: Hom(M, N) from rho_M(b) F = F rho_N(b) for every ring basis
+    element b, over dim M * dim N unknowns, one element at a time."""
+    p, a, b = m.p, m.dim, n.dim
+    if a == 0 or b == 0:
+        return np.zeros((0, a, b), dtype=np.int64)
+    sols = linalg.eye(a * b)
+    for j in range(m.ring.dim):
+        # unknown x[(s, t)] = F[s, t]; column (r, c) is entry (r, c) of
+        # rho_M(b_j) F - F rho_N(b_j)
+        t1 = m.action[j].T[:, None, :, None] * linalg.eye(b)[None, :, None, :]
+        t2 = linalg.eye(a)[:, None, :, None] * n.action[j][None, :, None, :]
+        block = ((t1 - t2) % p).reshape(a * b, a * b)
+        coeffs = linalg.left_nullspace(linalg.matmul_mod(sols, block, p), p)
+        sols = linalg.matmul_mod(coeffs, sols, p)
+    return linalg.row_space(sols, p).reshape(-1, a, b)
+
+
+def brute_force_homs(m, n):
+    """Oracle: how many a x b matrices commute with the action, and the
+    canonical basis of their span."""
+    p, a, b = m.p, m.dim, n.dim
+    total = p ** (a * b)
+    mats = linalg.decode_codes(np.arange(total), a * b, p).reshape(total, a, b)
+    ok = np.ones(total, dtype=bool)
+    for j in range(m.ring.dim):
+        left = np.matmul(m.action[j], mats) % p
+        right = np.matmul(mats, n.action[j]) % p
+        ok &= np.all(left == right, axis=(1, 2))
+    count = int(ok.sum())
+    span = linalg.row_space(mats[ok].reshape(count, a * b), p)
+    return count, span.reshape(span.shape[0], a, b)
+
+
+def assert_same_homs(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def rebased(ring, seed):
+    """The ring in a random basis, where 1 is not in general a basis element."""
+    rng = np.random.default_rng(seed)
+    p, d = ring.p, ring.dim
+    while True:
+        g = rng.integers(0, p, size=(d, d), dtype=np.int64)
+        ginv = linalg.inv_mod(g, p)
+        if ginv is not None:
+            break
+    # new basis vector i is row g[i] in the old coordinates; Python ints
+    # keep the contraction exact at every prime
+    obj = [x.astype(object) for x in (g, ring.sc, ginv)]
+    sc = (np.einsum("ia,jb,abc,ck->ijk", obj[0], obj[0], obj[1], obj[2]) % p).astype(np.int64)
+    one = (ring.one.astype(object) @ obj[2] % p).astype(np.int64)
+    rad = (jacobson_radical(ring).basis.astype(object) @ obj[2] % p).astype(np.int64)
+    return FiniteAlgebra(p, d, ring.labels, sc, one, name=f"{ring.name}'", known_radical=rad)
+
+
+def radical_layers(ring):
+    """R_R, its radical, its top R/J and R_R + R/J, built at any prime
+    (no lattice, no element scan)."""
+    reg = regular_module(ring)
+    top, _ = quotient_module(reg, radical_submodule(reg))
+    return [reg, radical_submodule(reg).as_module(), top, direct_sum(reg, top)[0]]
+
+
+def distinct_members(modules):
+    """Abstract modules of every lattice member, one per (ring, action)."""
+    seen = {}
+    for m in modules:
+        for x in all_submodules(m).members:
+            mod = x.as_module()
+            seen.setdefault((id(mod.ring), mod.action.tobytes()), mod)
+    return list(seen.values())
+
+
+def test_hom_space_matches_the_commutation_solve_on_the_corpus_and_its_lattices():
+    mods = distinct_members(entry.module for entry in corpus_builtin())
+    pairs = 0
+    for m in mods:
+        for n in mods:
+            if m.ring is n.ring:
+                assert_same_homs(hom_space_matrices(m, n), commutation_solve(m, n))
+                pairs += 1
+    assert pairs > 300
+
+
+MATRIX_RING_BASES = {
+    "F2": lambda: field_algebra(2), "F3": lambda: field_algebra(3),
+    "F65521": lambda: field_algebra(65521),
+    "F2[x]/(x^2)": lambda: poly_quotient_algebra(2, [0, 0, 1]),
+    "F3[x]/(x^2)": lambda: poly_quotient_algebra(3, [0, 0, 1]),
+    "T2(F2)": lambda: upper_triangular_algebra(2, 2),
+}
+
+
+@pytest.mark.parametrize("base", sorted(MATRIX_RING_BASES))
+def test_end_of_a_matrix_ring_matches_the_commutation_solve(base):
+    # M2(R) in its own basis (1 is a sum of basis elements) and in a random one
+    m2 = matrix_algebra(MATRIX_RING_BASES[base](), 2)
+    for ring in (m2, rebased(m2, sorted(MATRIX_RING_BASES).index(base))):
+        reg = regular_module(ring)
+        assert hom_dim(reg, reg) == ring.dim
+        mods = radical_layers(ring)
+        for m in mods:
+            for n in mods:
+                assert_same_homs(hom_space_matrices(m, n), commutation_solve(m, n))
+        # the presentation: phi(r) = r @ Phi is onto, the relations span
+        # its kernel, and the section inverts the chosen rows
+        gens, relations, rows, section = _presentation(reg)
+        phi = reg.act_rows(linalg.eye(reg.dim)[gens])
+        assert linalg.rank(phi, ring.p) == reg.dim
+        assert relations.shape[0] == len(gens) * ring.dim - reg.dim
+        assert linalg.rank(relations, ring.p) == relations.shape[0]
+        assert not np.any(linalg.matmul_mod(relations, phi, ring.p))
+        assert np.array_equal(linalg.matmul_mod(section, phi[rows], ring.p), linalg.eye(reg.dim))
+
+
+def test_hom_space_matches_the_commutation_solve_at_large_primes():
+    for p in (65521, 2 ** 31 - 1):
+        # rings whose radical is known, so nothing enumerates elements
+        rings = [local_square_zero_algebra(p, 2), upper_triangular_algebra(p, 2)]
+        rings.append(rebased(rings[-1], p % 97))
+        for ring in rings:
+            mods = radical_layers(ring)
+            for m in mods:
+                for n in mods:
+                    assert_same_homs(hom_space_matrices(m, n), commutation_solve(m, n))
+
+
+def tiny_modules(p):
+    """Lattice members of small modules over GF(p): regular modules of
+    F_p[x]/(x^2), T2(F_p) and F_p[x]/(x^3), their simples, and a sum."""
+    rings = [poly_quotient_algebra(p, [0, 0, 1]), upper_triangular_algebra(p, 2),
+             poly_quotient_algebra(p, [0, 0, 0, 1])]
+    tops = []
+    for ring in rings:
+        reg = regular_module(ring)
+        tops.append(reg)
+        tops.append(direct_sum(reg, simple_modules(ring)[0])[0])
+    return distinct_members(tops)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hom_space_matches_a_brute_force_scan_at_tiny_sizes(p):
+    mods = tiny_modules(p)
+    zero = RightModule(mods[0].ring, np.zeros((mods[0].ring.dim, 0, 0), dtype=np.int64), name="0")
+    pairs = 0
+    for m in mods + [zero]:
+        for n in mods + [zero]:
+            if m.ring is not n.ring or p ** (m.dim * n.dim) > 2 ** 12:
+                continue
+            count, span = brute_force_homs(m, n)
+            got = hom_space_matrices(m, n)
+            assert count == p ** got.shape[0], (m.name, n.name)
+            assert_same_homs(got, span)
+            pairs += 1
+    assert pairs > 50
+
+
+def test_hom_space_of_the_zero_module(reg, r2):
+    zero = RightModule(r2, np.zeros((2, 0, 0), dtype=np.int64), name="0")
+    for m, n, shape in ((zero, reg, (0, 0, 2)), (reg, zero, (0, 2, 0)), (zero, zero, (0, 0, 0))):
+        got = hom_space_matrices(m, n)
+        assert got.shape == shape and got.dtype == np.int64
+        assert_same_homs(got, commutation_solve(m, n))
+
+
 def test_submodule_span(reg):
     assert submodule_span(reg, np.zeros((0, 2))).dim == 0
     xspan = submodule_span(reg, [[0, 1]])
@@ -199,6 +377,22 @@ def test_essentiality(reg, reg_plus_s, s):
 def test_essential_oracle_agreement_everywhere(reg_plus_s):
     for sub in all_submodules(reg_plus_s).members:
         assert is_essential(sub, reg_plus_s) == essential_oracle(sub, reg_plus_s)
+
+
+def test_essential_in_matches_the_oracle_inside_every_member(reg_plus_s):
+    members = all_submodules(reg_plus_s).members
+    checked = 0
+    for a in members:
+        inner = a.as_module()
+        for n in members:
+            if not a.contains(n):
+                assert essential_in(n, a) is False
+                continue
+            # A's socle is cached on A after its first use
+            want = essential_oracle(Submodule(inner, a.from_parent(n.basis)), inner)
+            assert essential_in(n, a) is want and essential_in(n, a) is want
+            checked += 1
+    assert checked > 20
 
 
 def test_summands(reg, reg_plus_s):
@@ -338,7 +532,6 @@ def test_quotients_match_an_eliminated_basis_on_the_corpus():
 def test_a_hom_space_memo_keeps_its_target_only_weakly(reg, r2):
     import gc
     import weakref
-    from c4lab.modules import hom_space_matrices
     s = RightModule(r2, simple_modules(r2)[0].action, name="S")
     homs = hom_space_matrices(reg, s)
     assert hom_space_matrices(reg, s) is homs
