@@ -81,7 +81,7 @@ class FiniteAlgebra:
         self.name = name or f"algebra(p={self.p},dim={self.dim})"
         self._validate()
         if known_radical is not None:
-            known_radical = linalg.row_space(known_radical, self.p)
+            known_radical = linalg.row_space(linalg.as_gf(known_radical, self.p), self.p)
         self._known_radical = known_radical
         self._cache: dict = {}
         self.sc.setflags(write=False)
@@ -446,7 +446,7 @@ def quotient_algebra(a: FiniteAlgebra, ideal: IdealBasis):
     """Quotient A/I with basis the non-pivot coordinates of I.
 
     Returns (quotient, projection) where projection maps A-coordinate
-    rows to quotient coordinates.
+    rows, int64 with entries in [0, p), to quotient coordinates.
     """
     if ideal.parent is not a:
         raise ValueError("ideal does not belong to the given algebra")

@@ -16,7 +16,7 @@ import click
 from .conditions import (CONDITION_NAMES, DEFAULT_RULE_ID, build_defect_report, ext_cell,
                          parse_condition)
 from .guards import FAILURE_STATUS
-from .io import InputError, load_guards, parse_module, parse_ring
+from .io import InputError, load_guards, parse_module, parse_ring, read_json
 from .modules import regular_module
 from .morita import morita_pair_check
 from .reports import (
@@ -30,7 +30,6 @@ from .reports import (
 )
 from .suite import run_suite
 
-import json
 import os
 
 
@@ -60,8 +59,9 @@ def main():
 
 
 def _load(path, ring_mode):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: input file must hold a JSON object")
     base_dir = os.path.dirname(path) or "."
     if ring_mode and "action" not in data and data.get("construct") not in (
             "regular", "direct_sum"):
@@ -143,7 +143,7 @@ def morita(module_file, matrix_n, corner_spec, conditions, guards_path, out_path
             realization = ("matrix", matrix_n)
         else:
             if "," in corner_spec:
-                coords = [int(c) for c in corner_spec.split(",")]
+                coords = [int(c) % module.ring.p for c in corner_spec.split(",")]
             else:
                 from .algebra import idempotents
                 idems = idempotents(module.ring, guards.max_end_enumeration)

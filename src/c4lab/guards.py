@@ -62,7 +62,7 @@ class Guards:
 
     def __post_init__(self):
         for field_name, value in asdict(self).items():
-            if not isinstance(value, int) or value <= 0:
+            if type(value) is not int or value <= 0:     # a bool is not a bound
                 raise ValueError(f"guard {field_name} must be a positive integer")
 
     def to_dict(self) -> dict:

@@ -10,7 +10,10 @@ with omitted (i, j) triples meaning a zero product, or constructor
 shorthand such as {"construct": "matrix", "base": {...}, "n": 2}.
 Module files name a ring (inline object or a file path) plus either
 explicit action matrices or the shorthands "regular" / "direct_sum".
-Every validation failure is reported with the offending location.
+Entries ("one", "mul" coefficients, action matrices) may be any JSON
+integers: each is reduced mod p as a Python int before it becomes int64,
+so this is where input data is normalized for the GF(p) kernels.  Every
+validation failure is reported with the offending location.
 """
 
 from __future__ import annotations
@@ -43,11 +46,42 @@ def _fail(where: str, message: str):
     raise InputError(f"{where}: {message}")
 
 
+def read_json(path: str):
+    """The JSON value in a file; an unreadable or malformed file is an
+    InputError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        _fail(path, f"cannot read file: {exc.strerror}")
+    except (ValueError, RecursionError) as exc:
+        _fail(path, f"not valid JSON: {exc}")
+
+
+def _integer(value, where: str) -> int:
+    if type(value) is not int:      # a JSON true or 2.0 is not an integer
+        _fail(where, f"{value!r} is not an integer")
+    return value
+
+
+def _residues(entries, p: int, where: str) -> np.ndarray:
+    """A list of JSON integers as an int64 array reduced mod p.
+
+    Each entry is reduced as a Python int first, so any integer is
+    accepted, negative or beyond int64.
+    """
+    if not isinstance(entries, list):
+        _fail(where, "expected a list of integers")
+    for x in entries:
+        if type(x) is not int:
+            _fail(where, f"{x!r} is not an integer")
+    return np.array([x % p for x in entries], dtype=np.int64)
+
+
 def parse_ring(spec, where: str = "ring", base_dir: str = ".") -> FiniteAlgebra:
     if isinstance(spec, str):
         path = os.path.join(base_dir, spec)
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_ring(json.load(fh), where=path, base_dir=os.path.dirname(path) or ".")
+        return parse_ring(read_json(path), where=path, base_dir=os.path.dirname(path) or ".")
     if not isinstance(spec, dict):
         _fail(where, "ring description must be an object or a file path")
 
@@ -81,7 +115,7 @@ def parse_ring(spec, where: str = "ring", base_dir: str = ".") -> FiniteAlgebra:
             raise
         except (KeyError, TypeError) as exc:
             _fail(where, f"constructor {kind!r} is missing a field: {exc}")
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             _fail(where, str(exc))
         _fail(where, f"unknown constructor {kind!r}")
     return _parse_raw_ring(spec, where)
@@ -107,26 +141,40 @@ def _parse_raw_ring(spec: dict, where: str) -> FiniteAlgebra:
     for required in ("p", "dim", "one"):
         if required not in spec:
             _fail(where, f"missing required key {required!r}")
-    p = int(spec["p"])
+    p = _integer(spec["p"], f"{where}.p")
     try:
         PrimeField(p)
     except ValueError as exc:
         _fail(where, str(exc))
-    dim = int(spec["dim"])
+    dim = _integer(spec["dim"], f"{where}.dim")
+    if dim < 1:
+        _fail(where, "algebra dimension must be >= 1")
+    # checked before dim sizes any array
+    one = _residues(spec["one"], p, f"{where}.one")
+    if one.shape != (dim,):
+        _fail(where, f"identity coordinates must have length dim ({dim})")
     labels = spec.get("labels") or [f"b{i}" for i in range(dim)]
-    sc = np.zeros((dim, dim, dim), dtype=np.int64)
-    for t, triple in enumerate(spec.get("mul", [])):
+    if not isinstance(labels, list):
+        _fail(where, "labels must be a list")
+    mul = spec.get("mul", [])
+    if not isinstance(mul, list):
+        _fail(where, "mul must be a list of [i, j, [coeff per k]] entries")
+    for t, triple in enumerate(mul):
         loc = f"{where}.mul[{t}]"
         if not (isinstance(triple, list) and len(triple) == 3):
             _fail(loc, "each mul entry must be [i, j, [coeff per k]]")
         i, j, coeffs = triple
-        if not (isinstance(i, int) and 0 <= i < dim and isinstance(j, int) and 0 <= j < dim):
+        if not (type(i) is int and 0 <= i < dim and type(j) is int and 0 <= j < dim):
             _fail(loc, f"basis index out of range at (i, j)=({i},{j})")
-        if len(coeffs) != dim:
+        if not (isinstance(coeffs, list) and len(coeffs) == dim):
             _fail(loc, f"coefficient vector must have length {dim}")
-        sc[i, j] = np.asarray(coeffs, dtype=np.int64) % p
+    # one conversion for all coefficients; a later (i, j) triple wins
+    coeffs = _residues([x for triple in mul for x in triple[2]], p, f"{where}.mul")
+    sc = np.zeros((dim, dim, dim), dtype=np.int64)
+    for (i, j, _), row in zip(mul, coeffs.reshape(-1, dim)):
+        sc[i, j] = row
     try:
-        return FiniteAlgebra(p, dim, labels, sc, spec["one"],
+        return FiniteAlgebra(p, dim, labels, sc, one,
                              name=spec.get("name") or f"ring(p={p},dim={dim})")
     except ValueError as exc:
         _fail(where, str(exc))
@@ -136,9 +184,8 @@ def parse_module(spec, where: str = "module", base_dir: str = ".",
                  ring: FiniteAlgebra | None = None) -> RightModule:
     if isinstance(spec, str):
         path = os.path.join(base_dir, spec)
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_module(json.load(fh), where=path,
-                                base_dir=os.path.dirname(path) or ".", ring=ring)
+        return parse_module(read_json(path), where=path,
+                            base_dir=os.path.dirname(path) or ".", ring=ring)
     if not isinstance(spec, dict):
         _fail(where, "module description must be an object or a file path")
 
@@ -166,17 +213,26 @@ def parse_module(spec, where: str = "module", base_dir: str = ".",
     for required in ("dim", "action"):
         if required not in spec:
             _fail(where, f"missing required key {required!r}")
-    dim = int(spec["dim"])
+    dim = _integer(spec["dim"], f"{where}.dim")
+    if dim < 0:
+        _fail(where, "module dimension must be >= 0")
     action = spec["action"]
-    if len(action) != ring.dim:
-        _fail(where, f"need one action matrix per ring basis element "
-                     f"({ring.dim}), got {len(action)}")
-    arr = np.zeros((ring.dim, dim, dim), dtype=np.int64)
+    if not isinstance(action, list) or len(action) != ring.dim:
+        _fail(where, f"need a list of one action matrix per ring basis element "
+                     f"({ring.dim})")
+    mats = []
     for j, mat in enumerate(action):
-        m = np.asarray(mat, dtype=np.int64).reshape(-1)
-        if m.shape[0] != dim * dim:
-            _fail(f"{where}.action[{j}]", f"matrix must be {dim}x{dim}")
-        arr[j] = m.reshape(dim, dim) % ring.p
+        loc = f"{where}.action[{j}]"
+        # a matrix is a flat list or a list of rows
+        if isinstance(mat, list) and mat and all(isinstance(row, list) for row in mat):
+            if len(mat) != dim or any(len(row) != dim for row in mat):
+                _fail(loc, f"matrix must be {dim}x{dim}")
+            mat = [x for row in mat for x in row]
+        m = _residues(mat, ring.p, loc)
+        if m.shape != (dim * dim,):
+            _fail(loc, f"matrix must be {dim}x{dim}")
+        mats.append(m)
+    arr = np.array(mats, dtype=np.int64).reshape(ring.dim, dim, dim)
     try:
         return RightModule(ring, arr, name=spec.get("name", "module"))
     except ValueError as exc:
@@ -188,8 +244,7 @@ def parse_inputs(paths: list[str]):
     yield (ring, module)."""
     out = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(path)
         base_dir = os.path.dirname(path) or "."
         if isinstance(data, dict) and ("action" in data or data.get("construct")
                                        in ("regular", "direct_sum")):
@@ -206,8 +261,9 @@ def load_guards(path: str | None) -> Guards:
         path = os.environ.get("C4LAB_GUARDS")
     if path is None:
         return Guards()
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
+    if not isinstance(data, dict):
+        _fail(path, "guards file must hold a JSON object")
     try:
         return Guards.from_dict(data)
     except (TypeError, ValueError) as exc:

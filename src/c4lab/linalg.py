@@ -1,11 +1,20 @@
 """
 Dense linear algebra over prime fields GF(p).
 
-Everything operates on numpy int64 arrays with entries reduced into
-[0, p).  Row vectors are the primary convention: subspaces are row
-spaces, kernels are left kernels ({x : x @ A = 0}), and canonical bases
-are reduced row echelon forms, so basis equality is a byte-level array
-comparison.
+Precondition of every kernel: each array argument is a numpy int64
+array with entries in [0, p).  Kernels neither check nor reduce their
+input, and none writes into it.  Caller data is normalized once, by
+``as_gf``, where it enters c4lab: the parser (``io``); the constructors
+of ``FiniteAlgebra``, ``AlgebraElement``, ``RightModule``, ``Submodule``
+and ``ModuleHom``; and the functions and methods that take caller
+coordinates (``submodule_span``, ``cyclic_submodule_basis``,
+``RightModule.rho`` and ``act_rows``, ``Submodule.to_parent`` and
+``from_parent``, ``FiniteAlgebra.mul_coords``, ``left_mult_matrix`` and
+``right_mult_matrix``, ``TransportedModule.hom_of_coords`` and
+``build_progenerator``).  Row vectors are the primary convention:
+subspaces are row spaces, kernels are left kernels ({x : x @ A = 0}), and
+canonical bases are reduced row echelon forms, so basis equality is a
+byte-level array comparison.
 
 This module is the one place where a GF(p) product is formed and
 reduced; the rest of the package calls ``matmul_mod`` or ``combine``.
@@ -51,7 +60,8 @@ import numpy as np
 
 
 def as_gf(mat, p: int) -> np.ndarray:
-    """Coerce to an int64 array with entries reduced mod p."""
+    """Coerce to an int64 array with entries reduced mod p (the input
+    boundary's normalization; the kernels below assume it)."""
     a = np.asarray(mat, dtype=np.int64)
     return np.mod(a, p)
 
@@ -73,7 +83,7 @@ def rref(mat, p: int, n_pivot_cols: int | None = None):
     """Reduced row echelon form over GF(p).
 
     Args:
-        mat: matrix (m x n), any integer values.
+        mat: matrix (m x n), int64 with entries in [0, p); not written.
         n_pivot_cols: only search for pivots in the first *n_pivot_cols*
             columns; row operations still apply across the full width.
             Used for augmented-system solving.  Defaults to all columns.
@@ -83,7 +93,7 @@ def rref(mat, p: int, n_pivot_cols: int | None = None):
             R -- reduced echelon form, same shape, entries in [0, p).
             pivot_cols -- list of pivot column indices (length = rank).
     """
-    a = as_gf(mat, p)
+    a = mat     # every path below copies before it writes
     m, n = a.shape
     if n_pivot_cols is None:
         n_pivot_cols = n
@@ -93,11 +103,9 @@ def rref(mat, p: int, n_pivot_cols: int | None = None):
         # and int64 paths raises ops_per_s by about 14%.
         nz = a[0, :n_pivot_cols].nonzero()[0]
         if not nz.size:
-            return a, []
+            return a.copy(), []
         c = int(nz[0])
-        if a[0, c] != 1:
-            a = a * inv_scalar(a[0, c], p) % p
-        return a, [c]
+        return (a.copy() if a[0, c] == 1 else a * inv_scalar(a[0, c], p) % p), [c]
     if p == 2:
         return _rref_gf2(a, n_pivot_cols)
 
@@ -237,7 +245,6 @@ def quotient_projection(basis, p: int):
     red = basis[:, nonpiv]
 
     def project(rows):
-        rows = as_gf(rows, p)
         return (rows[:, nonpiv] - matmul_mod(rows[:, piv], red, p)) % p
     return nonpiv, project
 
@@ -261,7 +268,7 @@ def batch_rank(stack, p: int) -> np.ndarray:
     (a the pivot entry, b row i's entry), which scales rows by nonzero
     units only and needs no inverse; every term stays below p^2 < 2^62.
     """
-    a = as_gf(stack, p)
+    a = stack.copy()
     n, r, c = a.shape
     ranks = np.zeros(n, dtype=np.int64)
     if not (n and r and c):
@@ -288,10 +295,9 @@ def batch_rank(stack, p: int) -> np.ndarray:
 
 def row_space(mat, p: int) -> np.ndarray:
     """Canonical (RREF) basis of the row space; shape (rank, n)."""
-    a = as_gf(mat, p)
-    if a.shape[0] == 0:
-        return a.copy()
-    r, piv = rref(a, p)
+    if mat.shape[0] == 0:
+        return mat.copy()
+    r, piv = rref(mat, p)
     return r[: len(piv)].copy()
 
 
@@ -332,13 +338,12 @@ def distinct_row_spaces(stack, p: int) -> list[np.ndarray]:
 
 def left_nullspace(mat, p: int) -> np.ndarray:
     """Canonical basis of {x : x @ mat = 0}; shape (m - rank, m)."""
-    a = as_gf(mat, p)
-    m, n = a.shape
+    m, n = mat.shape
     if m == 0:
         return zeros(0, 0)
     if n == 0:
         return eye(m)
-    r, piv = rref(a.T, p)
+    r, piv = rref(mat.T, p)
     pivset = set(piv)
     free = [c for c in range(m) if c not in pivset]
     basis = zeros(len(free), m)
@@ -349,8 +354,7 @@ def left_nullspace(mat, p: int) -> np.ndarray:
 
 def right_kernel_cols(mat, p: int) -> np.ndarray:
     """Columns spanning {q : mat @ q = 0}; shape (n, n - rank)."""
-    a = as_gf(mat, p)
-    return left_nullspace(a.T, p).T.copy()
+    return left_nullspace(mat.T, p).T.copy()
 
 
 def solve_left_many(basis, rhs, p: int):
@@ -360,15 +364,13 @@ def solve_left_many(basis, rhs, p: int):
     matrix with free variables set to zero, or None if any row of rhs
     lies outside the row space of basis.
     """
-    b = as_gf(basis, p)
-    r = as_gf(rhs, p)
-    k, n = b.shape
-    t = r.shape[0]
+    k, n = basis.shape
+    t = rhs.shape[0]
     if t == 0:
         return zeros(0, k)
     if k == 0:
-        return None if np.any(r) else zeros(t, 0)
-    aug = np.concatenate([b.T, r.T], axis=1)
+        return None if np.any(rhs) else zeros(t, 0)
+    aug = np.concatenate([basis.T, rhs.T], axis=1)
     red, piv = rref(aug, p, n_pivot_cols=k)
     # Rows with zero coefficient part but nonzero right-hand side part
     # witness inconsistency.
@@ -387,13 +389,11 @@ def in_row_space(rows, basis, p: int) -> bool:
 
 def sum_rows(a, b, p: int) -> np.ndarray:
     """Canonical basis of rowspace(a) + rowspace(b)."""
-    return row_space(np.concatenate([as_gf(a, p), as_gf(b, p)], axis=0), p)
+    return row_space(np.concatenate([a, b], axis=0), p)
 
 
 def intersect_rows(a, b, p: int) -> np.ndarray:
     """Canonical basis of rowspace(a) ∩ rowspace(b)."""
-    a = as_gf(a, p)
-    b = as_gf(b, p)
     ka = a.shape[0]
     if ka == 0 or b.shape[0] == 0:
         return zeros(0, a.shape[1])
@@ -406,13 +406,12 @@ def intersect_rows(a, b, p: int) -> np.ndarray:
 
 def inv_mod(mat, p: int):
     """Inverse of a square matrix, or None when singular."""
-    a = as_gf(mat, p)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    n = mat.shape[0]
+    if mat.shape != (n, n):
         raise ValueError("inverse of a non-square matrix")
     if n == 0:
-        return a.copy()
-    aug = np.concatenate([a, eye(n)], axis=1)
+        return mat.copy()
+    aug = np.concatenate([mat, eye(n)], axis=1)
     red, piv = rref(aug, p, n_pivot_cols=n)
     if len(piv) < n:
         return None

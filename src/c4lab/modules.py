@@ -73,9 +73,12 @@ class RightModule:
 
 def regular_module(ring: FiniteAlgebra) -> RightModule:
     """The regular module: the ring acting on itself by right multiplication."""
+    # R_R's module axioms, rho(b_i) rho(b_j) = sum_k c_ijk rho(b_k) and
+    # rho(1) = I, are associativity and the identity law on the same
+    # structure constants, which FiniteAlgebra has already checked
     return memo(ring._cache, "regular_module",
                 lambda: RightModule(ring, ring.right_regular_stack(),
-                                    name=f"{ring.name}_reg"))
+                                    name=f"{ring.name}_reg", validate=False))
 
 
 def direct_sum(*parts: RightModule, name: str | None = None):
@@ -116,10 +119,8 @@ class Submodule:
 
     def __init__(self, parent: RightModule, basis, check: bool = True):
         self.parent = parent
-        if np.asarray(basis).size:
-            b = linalg.row_space(basis, parent.p)
-        else:
-            b = linalg.zeros(0, parent.dim)
+        b = linalg.as_gf(basis, parent.p)
+        b = linalg.row_space(b, parent.p) if b.size else linalg.zeros(0, parent.dim)
         if b.shape[1] != parent.dim:
             raise ValueError("basis width does not match module dimension")
         self.basis = b

@@ -288,7 +288,7 @@ def _transport(prog: Progenerator, m: RightModule) -> TransportedModule:
     s_alg = end_data.algebra
     mats = hom_space_matrices(prog.module, m)
     t = mats.shape[0]
-    flat = mats.reshape(t, -1)
+    flat = mats.reshape(t, mats.shape[1] * mats.shape[2])
     action = np.zeros((s_alg.dim, t, t), dtype=np.int64)
     for j in range(s_alg.dim):
         precomposed = linalg.matmul_mod(end_data.hom_mats[j], mats, p)

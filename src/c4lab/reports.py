@@ -146,14 +146,14 @@ def render_morita_report(result: dict) -> str:
 
 
 def suite_report_dict(results: list, guards: Guards) -> dict:
-    failures = sum(1 for r in results if r["status"] == "fail")
     return {
         "tool": "c4lab",
         "kind": "suite-summary",
         "guards": guards.to_dict(),
         "checks": results,
         "total": len(results),
-        "failures": failures,
+        "failures": sum(1 for r in results if r["status"] == "fail"),
+        "partial": sum(1 for r in results if r["status"] == "partial"),
     }
 
 
@@ -162,7 +162,8 @@ def render_suite_report(summary: dict) -> str:
     for check in summary["checks"]:
         lines.append(f"[{check['status'].upper():7s}] {check['name']}"
                      + (f"  ({check['detail']})" if check.get("detail") else ""))
-    lines.append(f"{summary['total']} checks, {summary['failures']} failures")
+    lines.append(f"{summary['total']} checks, {summary['failures']} failures, "
+                 f"{summary['partial']} partial")
     return "\n".join(lines)
 
 

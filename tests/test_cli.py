@@ -291,3 +291,53 @@ def test_suite_exit_code_after_the_full_report(runner, monkeypatch, statuses, co
     result = runner.invoke(main, ["suite"])
     assert result.exit_code == code
     assert result.output.splitlines()[-1].startswith(f"{len(records)} checks,")
+
+
+R2_RAW = {"p": 2, "dim": 2, "labels": ["1", "x"], "one": [1, 0],
+          "mul": [[0, 0, [1, 0]], [0, 1, [0, 1]], [1, 0, [0, 1]]]}
+
+
+def _one_error_line(result, message):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.output == f"error: {message}\n"
+
+
+def test_an_entry_beyond_int64_is_reduced_then_checked(runner, tmp_path):
+    # 2^64 + 1 reduces to x acting as 1, which x^2 = 0 forbids
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"ring": R2_RAW, "dim": 1,
+                                "action": [[[1]], [[2 ** 64 + 1]]]}))
+    result = runner.invoke(main, ["analyze", str(path)])
+    _one_error_line(result, f"{path}: action not multiplicative at ring basis "
+                            "pair (i,j)=(1,1)")
+
+
+def test_a_null_dimension_is_a_located_input_error(runner, tmp_path):
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({**R2_RAW, "dim": None}))
+    result = runner.invoke(main, ["analyze", str(path), "--ring"])
+    _one_error_line(result, f"{path}.dim: None is not an integer")
+
+
+def test_a_top_level_array_is_a_located_input_error(runner, tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([R2_RAW]))
+    result = runner.invoke(main, ["analyze", str(path), "--ring"])
+    _one_error_line(result, f"{path}: input file must hold a JSON object")
+
+
+def test_a_non_integer_entry_is_a_located_input_error(runner, tmp_path):
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({**R2_RAW, "mul": [[0, 0, [1, 0]], [0, 1, [0, 1.5]]]}))
+    result = runner.invoke(main, ["analyze", str(path), "--ring"])
+    _one_error_line(result, f"{path}.mul: 1.5 is not an integer")
+
+
+def test_corner_coordinates_are_reduced_mod_p(runner, mixed_module_file):
+    reduced = runner.invoke(main, ["morita", mixed_module_file, "--corner", "1,0"])
+    huge = runner.invoke(main, ["morita", mixed_module_file,
+                                "--corner", f"{2 ** 70 + 1},{-2 ** 66}"])
+    assert reduced.exit_code == 0, reduced.output
+    assert huge.output == reduced.output

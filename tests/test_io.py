@@ -134,6 +134,10 @@ def test_load_guards(tmp_path, monkeypatch):
     bad.write_text(json.dumps({"max_lattice_vectors": -5}))
     with pytest.raises(InputError):
         load_guards(str(bad))
+    flag = tmp_path / "flag.json"
+    flag.write_text(json.dumps({"max_hom_scan": True}))
+    with pytest.raises(InputError, match="max_hom_scan must be a positive integer"):
+        load_guards(str(flag))
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"nope": 3}))
     with pytest.raises(InputError, match="unknown guard"):

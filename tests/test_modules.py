@@ -91,6 +91,19 @@ def test_regular_module_action(reg):
     assert np.array_equal(reg.action[1], [[0, 1], [0, 0]])
 
 
+def test_regular_modules_satisfy_the_module_axioms():
+    """regular_module skips RightModule's check, which the algebra's own
+    associativity and identity checks imply; run it here instead."""
+    from c4lab.corpus import corpus_rings
+    from c4lab.io import parse_ring
+
+    raw = parse_ring({"p": 3, "dim": 3, "labels": ["1", "x", "y"], "one": [1, 0, 0],
+                      "mul": [[0, 0, [1, 0, 0]], [0, 1, [0, 1, 0]], [0, 2, [0, 0, 1]],
+                              [1, 0, [0, 1, 0]], [2, 0, [0, 0, 1]], [1, 1, [0, 0, 1]]]})
+    for ring in [*corpus_rings().values(), raw]:
+        regular_module(ring)._validate()
+
+
 def test_invalid_action_rejected(r2):
     bad = np.zeros((2, 2, 2), dtype=np.int64)
     bad[0] = np.eye(2)

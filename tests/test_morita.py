@@ -176,6 +176,18 @@ def test_morita_pair_check_matrix(r2, ms):
     assert values["iota"] == "infinity"
 
 
+def test_the_zero_module_transports_to_the_zero_module(r2, prog):
+    from c4lab.modules import RightModule
+    from c4lab.suite import block_idempotent_coords
+
+    zero = RightModule(r2, np.zeros((2, 0, 0), dtype=np.int64), name="0")
+    image = apply_functor(prog, zero).image
+    assert image.dim == 0
+    assert morita_pair_check(r2, ("matrix", 2), zero)["violations"] == 0
+    corner = ("corner", block_idempotent_coords(r2, prog))
+    assert morita_pair_check(image.ring, corner, image)["violations"] == 0
+
+
 def test_morita_pair_check_corner():
     m2 = matrix_algebra(field_algebra(2), 2)
     report = morita_pair_check(m2, ("corner", [1, 0, 0, 0]),

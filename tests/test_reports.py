@@ -91,3 +91,13 @@ def test_every_record_status_fits_the_suite_status_column():
     checks = [{"name": "check", "status": s, "detail": ""} for s in statuses]
     lines = render_suite_report(suite_report_dict(checks, DEFAULT_GUARDS)).splitlines()
     assert [line[:9] for line in lines[:-1]] == [f"[{s.upper():7s}]" for s in statuses]
+
+
+def test_the_suite_summary_counts_partial_records():
+    from c4lab.reports import render_suite_report, suite_report_dict
+
+    checks = [{"name": f"check{i}", "status": s, "detail": ""}
+              for i, s in enumerate(["pass", "partial", "fail", "partial"])]
+    summary = suite_report_dict(checks, DEFAULT_GUARDS)
+    assert (summary["total"], summary["failures"], summary["partial"]) == (4, 1, 2)
+    assert render_suite_report(summary).splitlines()[-1] == "4 checks, 1 failures, 2 partial"
