@@ -15,11 +15,13 @@ declared `injective_only` (the default one is) calls every non-injective
 datum valid, so for it the scan drops each block's non-injective maps
 with one batched rank before evaluating any map; other rules see every
 map.  Kernels, images and summands are Submodules shared per canonical
-basis (`_carrier`), so equal ones share their cached abstract module,
-fingerprint and summand test.  Under
-the default rule C4[m] holds exactly when C4 does, so `is_c4_m` answers
-with `is_c4` (see its proof).  `def_c4star` and `obs_swcs` check guards
-inside their computations, so their caches are keyed by the Guards.
+basis (`_carrier`), so equal ones share their cached data.  Distinct
+Submodules of one parent with equal actions in their own bases share one
+abstract module, so lattice members, summands and chain starts that are
+the same module are scanned once.  Under the default rule C4[m] holds
+exactly when C4 does, so `is_c4_m` answers with `is_c4` (see its proof).
+`def_c4star` and `obs_swcs` check guards inside their computations, so
+their caches are keyed by the Guards.
 """
 
 from __future__ import annotations
@@ -110,9 +112,12 @@ def _end_scan(m: RightModule, homs: np.ndarray, total: int) -> tuple[Decompositi
 def _carrier(m: RightModule, basis: np.ndarray) -> Submodule:
     """The one Submodule of m with this canonical (RREF) basis.
 
-    Sharing the object across decompositions and witnesses shares its
-    cached abstract module, and with it that module's hom spaces and
-    fingerprint."""
+    Sharing the object across decompositions and witnesses shares what
+    it caches: its membership test, its socle and the solve for its
+    action.  The abstract module itself is shared more widely, since m
+    holds one per distinct action (`Submodule.as_module`): carriers with
+    unequal bases but equal actions share that module's hom spaces and
+    fingerprint too."""
     return memo(m._cache, ("carrier", basis.tobytes()),
                 lambda: Submodule(m, basis, check=False))
 

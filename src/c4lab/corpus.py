@@ -74,9 +74,17 @@ def _simple_modules(ring: FiniteAlgebra) -> list[RightModule]:
         if not any(iso_test(cand, other) for other in found):
             found.append(cand)
     found.sort(key=lambda m: (m.dim, m.action.tobytes()))
-    for idx, mod in enumerate(found):
-        mod.name = f"{ring.name}_S{idx + 1}" if len(found) > 1 else f"{ring.name}_S"
-    return found
+    return [_named(mod, f"{ring.name}_S{idx + 1}" if len(found) > 1 else f"{ring.name}_S")
+            for idx, mod in enumerate(found)]
+
+
+def _named(mod: RightModule, name: str) -> RightModule:
+    """A copy of mod, with empty caches, under a corpus name.
+
+    An abstract submodule module is shared by every equal submodule of its
+    parent, and its caches hold modules named after it, so it keeps the
+    name it was built with."""
+    return RightModule(mod.ring, mod.action, name=name, validate=False)
 
 
 def _sum(name, *parts):
@@ -237,8 +245,7 @@ def corpus_builtin() -> tuple[CorpusEntry, ...]:
         "summand_square_free": Expectation(False, "TRIVIAL"),
     })
     # the length-2 projective indecomposable e1*T2
-    proj1 = submodule_span(regt, linalg.eye(3)[0:1]).as_module()
-    proj1.name = "t2_proj1"
+    proj1 = _named(submodule_span(regt, linalg.eye(3)[0:1]).as_module(), "t2_proj1")
     add("t2", proj1, {
         "strong": Expectation(True, "DERIVED",
                               "uniserial with local End; the simple socle "
@@ -296,8 +303,7 @@ def corpus_builtin() -> tuple[CorpusEntry, ...]:
         "strong": Expectation(False, "DERIVED", "C4star fails"),
     })
     add("m2r2", sbig, {"strong": Expectation(True, "TRIVIAL")})
-    soc_big = socle(regbig).as_module()
-    soc_big.name = "m2r2_soc"
+    soc_big = _named(socle(regbig).as_module(), "m2r2_soc")
     add("m2r2", soc_big, {
         **_exp_semisimple_strong(),
         "summand_square_free": Expectation(False, "DERIVED",

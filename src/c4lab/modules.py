@@ -6,6 +6,11 @@ element, acting on row vectors: v * b_j = v @ rho(b_j).  Submodules are
 canonical reduced-echelon row spaces, so equality of submodules is
 equality of basis arrays.  Homomorphisms f carry the row convention
 f(v) = v @ f.matrix and commute with the action.
+
+Every per-module result is memoized on the module object, and a parent
+holds one abstract module per distinct submodule action: submodules whose
+actions agree in their own bases share one RightModule
+(``Submodule.as_module``), so each scan runs once for all of them.
 """
 
 from __future__ import annotations
@@ -161,7 +166,19 @@ class Submodule:
                     else linalg.right_kernel_cols(self.basis, self.parent.p))
 
     def as_module(self) -> RightModule:
-        """The submodule as an abstract module in its own basis."""
+        """The submodule as an abstract module in its own basis.
+
+        The parent interns these modules by action: every submodule of
+        one parent whose action in its own basis is equal gets the same
+        RightModule, and with it that module's caches (decompositions,
+        lattice, verdicts, hom spaces, presentation, fingerprint).  The
+        shared module is the one each would build, since its ring and
+        action are equal and its name depends only on the parent and
+        the dimension; the coordinates relative to the parent
+        (``basis``, ``to_parent``) stay on each Submodule.  So a caller
+        must not rename the returned module: it would rename it for every
+        equal submodule.
+        """
         return memo(self._cache, "abstract", self._abstract_module)
 
     def _abstract_module(self) -> RightModule:
@@ -174,8 +191,9 @@ class Submodule:
         if coeff is None:
             raise ValueError("span is not closed under the ring action")
         action = coeff.reshape(parent.ring.dim, self.dim, self.dim)
-        return RightModule(parent.ring, action,
-                           name=f"{parent.name}|sub{self.dim}", validate=False)
+        return memo(parent._cache, ("abstract", action.tobytes()),
+                    lambda: RightModule(parent.ring, action,
+                                        name=f"{parent.name}|sub{self.dim}", validate=False))
 
     def to_parent(self, abstract_rows) -> np.ndarray:
         rows = linalg.as_gf(abstract_rows, self.parent.p)

@@ -25,6 +25,7 @@ from c4lab.conditions import (
     summand_list,
 )
 from c4lab.corpus import local_square_zero_algebra, simple_modules
+from c4lab.guards import GuardExceeded
 from c4lab.modules import (
     ModuleHom,
     RightModule,
@@ -435,3 +436,117 @@ def test_equal_images_share_one_carrier_and_one_fingerprint(monkeypatch, reg):
     # one fingerprint per distinct image, however often it recurs
     assert len(calls) == len(by_key)
     assert len({id(mod) for mod in calls}) == len(calls)
+
+
+def sharing_parents():
+    """Every corpus module and the regular module of F2[x, y]/(x, y)^2."""
+    from c4lab.corpus import corpus_builtin
+    return [entry.module for entry in corpus_builtin()] + \
+        [regular_module(local_square_zero_algebra(2, 2))]
+
+
+def member_action(x):
+    """The action of a submodule in its own basis, read off its pivot
+    columns: a row v of the span is v[pivots] @ basis, as basis is RREF."""
+    from c4lab import linalg
+    pivots = [int(np.flatnonzero(row)[0]) for row in x.basis]
+    acted = linalg.matmul_mod(x.basis, x.parent.action, x.parent.p)
+    return np.ascontiguousarray(acted[:, :, pivots])
+
+
+def test_equal_member_actions_share_one_abstract_module():
+    from c4lab.modules import all_submodules
+
+    shared = 0
+    for parent in sharing_parents():
+        groups = {}
+        for x in all_submodules(parent).members:
+            mod = x.as_module()
+            if x.dim == parent.dim:
+                assert mod is parent
+                continue
+            action = member_action(x)
+            assert mod.ring is parent.ring
+            assert np.array_equal(mod.action, action), parent.name
+            assert mod.name == f"{parent.name}|sub{x.dim}"
+            groups.setdefault((x.dim, action.tobytes()), []).append(mod)
+        for mods in groups.values():
+            assert all(mod is mods[0] for mod in mods)
+            shared += len(mods) > 1
+        # unequal actions never share an object
+        assert len({id(mods[0]) for mods in groups.values()}) == len(groups)
+    assert shared > 20
+
+
+def _member_results(m):
+    """Everything the scans answer on m, as plain data, or the message of
+    the guard a scan hit."""
+    def decs():
+        return [(d.a.key(), d.b.key(), d.idempotent.matrix.tobytes())
+                for d in enumerate_decompositions(m)]
+
+    def c4():
+        return [(r.decomposition.a.key(), r.decomposition.b.key(), r.f.matrix.tobytes(),
+                 r.kernel.key(), r.image.key(), r.verdict, r.detail) for r in def_c4(m)]
+
+    def swcs():
+        return [(pair.x.key(), pair.y.key(), pair.minimal, pair.lengths)
+                for pair in obs_swcs(m)]
+
+    def ext():
+        return [check_extended(m, 2, 1), check_extended(m, 3, 1, strict=False)]
+
+    out = []
+    for scan in (decs, c4, swcs, ext):
+        try:
+            out.append(scan())
+        except GuardExceeded as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_a_shared_member_module_answers_as_a_fresh_copy():
+    """The shared abstract module of every lattice member, warmed by
+    whichever member or scan reached it first, answers exactly as a fresh
+    RightModule built from the same ring, action and name."""
+    from c4lab.modules import all_submodules
+
+    checked = 0
+    for parent in sharing_parents():
+        cold = {}
+        for x in all_submodules(parent).members:
+            mod = x.as_module()
+            key = (id(mod.ring), mod.action.tobytes())
+            if key not in cold:
+                cold[key] = _member_results(
+                    RightModule(mod.ring, mod.action, name=mod.name, validate=False))
+            assert _member_results(mod) == cold[key], (parent.name, x.dim)
+            checked += 1
+    assert checked > 200
+
+
+def test_reports_on_a_long_lived_ring_leave_no_module_alive():
+    """A module built, analysed and dropped leaves nothing behind: the
+    abstract modules interned on it die with it, and nothing holds them
+    from the ring."""
+    import gc
+
+    from c4lab.conditions import build_defect_report
+    from c4lab.corpus import corpus_rings
+    from c4lab.modules import direct_sum
+
+    ring = corpus_rings()["r3"]
+    reg = regular_module(ring)
+    simple = simple_modules(ring)[0]
+
+    def live():
+        gc.collect()
+        return sum(1 for obj in gc.get_objects() if type(obj) is RightModule)
+
+    baseline = live()
+    for _ in range(2):
+        m = direct_sum(reg, simple, name="R+S")[0]
+        report = build_defect_report(m, extension_grid=((2, 1), (3, 1)))
+        assert report.flags
+        del m, report
+        assert live() == baseline

@@ -552,3 +552,70 @@ def test_a_hom_space_memo_keeps_its_target_only_weakly(reg, r2):
     del s
     gc.collect()
     assert gone() is None
+
+
+def path_module(ring, n, dims, arrows):
+    """The representation V_1 -> V_2 -> ... -> V_n of the linear quiver as
+    a right T_n-module: E_ij acts by the composite V_i -> V_j on block i
+    and kills the other blocks.  Any tuple of arrow matrices is a module."""
+    p = ring.p
+    offsets = np.concatenate([[0], np.cumsum(dims)])
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    action = np.zeros((ring.dim, offsets[-1], offsets[-1]), dtype=np.int64)
+    for t, (i, j) in enumerate(pairs):
+        block = linalg.eye(dims[i])
+        for k in range(i, j):
+            block = linalg.matmul_mod(block, arrows[k], p)
+        action[t, offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = block
+    return RightModule(ring, action, name=f"T{n}{tuple(dims)}")
+
+
+def tiny_oracle_modules():
+    """Corpus modules and T_2, T_3 path-algebra modules of at most 2^6
+    elements, each vertex of dimension at most 2."""
+    rng = np.random.default_rng(5)
+    mods = [e.module for e in corpus_builtin() if 0 < e.module.p ** e.module.dim <= 2 ** 6]
+    for p, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        ring = upper_triangular_algebra(p, n)
+        for dims in itertools.product(range(3), repeat=n):
+            if not 0 < p ** sum(dims) <= 2 ** 6:
+                continue
+            zero = [np.zeros((dims[k], dims[k + 1]), dtype=np.int64) for k in range(n - 1)]
+            rand = [rng.integers(0, p, size=(dims[k], dims[k + 1]), dtype=np.int64)
+                    for k in range(n - 1)]
+            mods += [path_module(ring, n, dims, zero), path_module(ring, n, dims, rand)]
+    return mods
+
+
+def _span_rank(*bases, p):
+    return linalg.rank(np.concatenate(bases, axis=0), p)
+
+
+def test_socle_length_and_summands_match_brute_force_at_tiny_sizes():
+    """socle is the sum of the minimal lattice members, composition_length
+    is the longest chain in the lattice, and is_summand finds a complement
+    exactly when some lattice member is one."""
+    checked = 0
+    for m in tiny_oracle_modules():
+        p, members = m.p, all_submodules(m).members
+        inside = [[y.dim < x.dim and _span_rank(x.basis, y.basis, p=p) == x.dim
+                   for y in members] for x in members]
+        minimal = [x for i, x in enumerate(members)
+                   if x.dim and not any(inside[i][j] and y.dim for j, y in enumerate(members))]
+        soc = linalg.row_space(np.concatenate([x.basis for x in minimal] +
+                                              [linalg.zeros(0, m.dim)]), p)
+        assert np.array_equal(socle(m).basis, soc), m.name
+        height = []
+        for i in range(len(members)):   # members come in increasing dimension
+            height.append(max([height[j] + 1 for j in range(i) if inside[i][j]], default=0))
+        assert composition_length(m) == height[-1], m.name
+        for x in members:
+            found = is_summand(x, m)
+            brute = any(y.dim == m.dim - x.dim and _span_rank(x.basis, y.basis, p=p) == m.dim
+                        for y in members)
+            assert (found is not None) == brute, (m.name, x.dim)
+            if found is not None:
+                assert found.dim == m.dim - x.dim
+                assert _span_rank(x.basis, found.basis, p=p) == m.dim
+            checked += 1
+    assert checked > 1000
