@@ -1,9 +1,11 @@
 """Command-line surface: analyze, morita, suite.
 
 Exit codes follow guards.FAILURE_STATUS: 0 success; 1 a failed check (a
-transport violation); 2 an input, validation or guard error.  A failure
-that ends a command prints one line to stderr; `suite` prints its whole
-report, then exits 1 if a check failed.
+transport violation); 2 an input, validation or guard error; 3 any other
+exception, an internal error.  A failure that ends a command prints one
+line to stderr; `suite` prints its whole report and one stderr line per
+internal error, then exits 3 if a check raised one and 1 if a check
+failed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import click
 
 from .conditions import (CONDITION_NAMES, DEFAULT_RULE_ID, build_defect_report, ext_cell,
                          parse_condition)
-from .guards import FAILURE_STATUS
+from .guards import FAILURE_STATUS, failure_status
 from .io import InputError, load_guards, parse_module, parse_ring, read_json
 from .modules import regular_module
 from .morita import morita_pair_check
@@ -35,7 +37,8 @@ import os
 
 EXIT_ERROR = 2
 # (exit code, stderr label) for each record status of guards.FAILURE_STATUS
-EXITS = {"fail": (1, "theorem violation"), "partial": (EXIT_ERROR, "error")}
+EXITS = {"fail": (1, "theorem violation"), "partial": (EXIT_ERROR, "error"),
+         "error": (3, "internal error")}
 
 
 @contextmanager
@@ -48,8 +51,9 @@ def _exit_on(*errors):
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_ERROR)
     except tuple(FAILURE_STATUS) as exc:
-        code, label = EXITS[FAILURE_STATUS[type(exc)]]
-        click.echo(f"{label}: {exc}", err=True)
+        status, detail = failure_status(exc)
+        code, label = EXITS[status]
+        click.echo(f"{label}: {detail}", err=True)
         sys.exit(code)
 
 
@@ -176,8 +180,12 @@ def suite(name_filter, guards_path, out_path):
     click.echo(render_suite_report(summary))
     if out_path:
         write_structured(out_path, summary)
-    if any(r["status"] == "fail" for r in results):
-        sys.exit(EXITS["fail"][0])
+    for r in results:
+        if r["status"] == "error":
+            click.echo(f"{EXITS['error'][1]}: {r['name']}: {r['detail']}", err=True)
+    for status in ("error", "fail"):
+        if any(r["status"] == status for r in results):
+            sys.exit(EXITS[status][0])
 
 
 if __name__ == "__main__":

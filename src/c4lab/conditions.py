@@ -20,12 +20,17 @@ Submodules of one parent with equal actions in their own bases share one
 abstract module, so lattice members, summands and chain starts that are
 the same module are scanned once.  Under the default rule C4[m] holds
 exactly when C4 does, so `is_c4_m` answers with `is_c4` (see its proof).
-`def_c4star` and `obs_swcs` check guards inside their computations, so
-their caches are keyed by the Guards.
+The lattice-level questions (containment, disjointness, semisimplicity,
+essential hulls) are bit operations on the lattice's cyclic-submodule
+bitsets (`modules.SubmoduleLattice`), and a chain start's swCS flag is
+read off the parent's lattice (`check_extended`).  `def_c4star`,
+`obs_swcs` and the chain-start flags check guards inside their
+computations, so their caches are keyed by the Guards.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -38,6 +43,7 @@ from .modules import (
     ModuleHom,
     RightModule,
     Submodule,
+    SubmoduleLattice,
     all_submodules,
     composition_length,
     essential_in,
@@ -352,52 +358,66 @@ def _obstruction_pairs(m: RightModule, reading: str,
                        guards: Guards) -> tuple[ObstructionPair, ...]:
     summands = summand_list(m, guards.max_end_enumeration)
     if reading == "literal-summand":
-        candidates = [s for s in summands
-                      if s.dim > 0 and is_semisimple(s.as_module())]
+        # no lattice: the candidates are the semisimple summands themselves
+        legs = [s for s in summands if s.dim > 0 and is_semisimple(s.as_module())]
+        hull = [any(essential_in(x, a) for a in summands) for x in legs]
+        found = [(legs[i], legs[j]) for i, j in itertools.combinations(range(len(legs)), 2)
+                 if not (hull[i] and hull[j])
+                 and not linalg.intersect_rows(legs[i].basis, legs[j].basis, m.p).shape[0]
+                 and iso_test(legs[i].as_module(), legs[j].as_module(),
+                              guards.max_end_enumeration)]
+
+        def below(x, y):
+            return y.contains(x)
     else:
-        candidates = [s for s in all_submodules(m, guards.max_lattice_vectors).members
-                      if s.dim > 0 and is_semisimple(s.as_module())]
+        lat = all_submodules(m, guards.max_lattice_vectors)
+        found = [(lat.members[i], lat.members[j]) for i, j in _lattice_obstructions(
+            lat, lat.bits[-1], [lat.bits_of(a.basis) for a in summands], guards)]
 
-    # X has a realization iff it sits essentially inside some summand;
-    # a pair is realized iff both legs are (the two searches are
-    # independent existentials).  Realized pairs are never obstructions,
-    # so the isomorphism test only runs on the rest.
-    hull = [any(essential_in(x, a) for a in summands) for x in candidates]
+        def below(x, y):
+            return not lat.bits_of(x.basis) & ~lat.bits_of(y.basis)
 
-    obstructions = []
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            if hull[i] and hull[j]:
-                continue
-            x, y = candidates[i], candidates[j]
-            if linalg.intersect_rows(x.basis, y.basis, m.p).shape[0]:
-                continue
-            if iso_test(x.as_module(), y.as_module(), guards.max_end_enumeration):
-                obstructions.append((i, j))
-
-    obstruction_keys = set(obstructions)
     pairs = []
-    for i, j in obstructions:
-        x, y = candidates[i], candidates[j]
-        minimal = True
-        for i2 in range(len(candidates)):
-            for j2 in range(len(candidates)):
-                if i2 == j2:
-                    continue
-                lo, hi = min(i2, j2), max(i2, j2)
-                if (lo, hi) == (i, j):
-                    continue
-                if (lo, hi) not in obstruction_keys:
-                    continue
-                if x.contains(candidates[i2]) and y.contains(candidates[j2]):
-                    minimal = False
-                    break
-            if not minimal:
-                break
+    for x, y in found:
+        # minimal: no other obstruction pair sits leg by leg inside (x, y)
+        minimal = not any(below(x2, x) and below(y2, y) or below(y2, x) and below(x2, y)
+                          for x2, y2 in found if (x2, y2) != (x, y))
         lx = composition_length(x.as_module())
         ly = composition_length(y.as_module())
         pairs.append(ObstructionPair(x, y, minimal, (lx, ly)))
     return tuple(pairs)
+
+
+def _lattice_obstructions(lat: SubmoduleLattice, top: int, summand_bits: list[int],
+                          guards: Guards) -> list[tuple[int, int]]:
+    """The obstruction pairs of the member X with bits top, under the
+    submodule reading, as index pairs i < j into lat.members; summand_bits
+    are the bits of X's direct summands.
+
+    The candidates are the nonzero members below soc X = X ∩ soc M.  A
+    candidate has a realization iff it sits essentially inside some
+    summand, and a pair is realized iff both legs are (the two searches
+    are independent existentials).  Realized pairs are never
+    obstructions, so the isomorphism test only runs on the rest."""
+    soc = top & lat.socle_bits()
+    chosen = [i for i, b in enumerate(lat.bits) if b and not b & ~soc]
+    hull = {i: any(lat.essential(lat.bits[i], a) for a in summand_bits) for i in chosen}
+    return [(i, j) for i, j in itertools.combinations(chosen, 2)
+            if not (hull[i] and hull[j]) and not lat.bits[i] & lat.bits[j]
+            and iso_test(lat.members[i].as_module(), lat.members[j].as_module(),
+                         guards.max_end_enumeration)]
+
+
+def _start_is_swcs(lat: SubmoduleLattice, x: Submodule, guards: Guards) -> bool:
+    """Whether the chain start x, a member of M's lattice lat, is swCS
+    under the submodule reading, read off lat (see `check_extended`)."""
+    def search():
+        summands = summand_list(x.as_module(), guards.max_end_enumeration)
+        # X's summands, lifted into M, are members too
+        lifted = [lat.bits_of(linalg.row_space(x.to_parent(a.basis), x.parent.p))
+                  for a in summands]
+        return not _lattice_obstructions(lat, lat.bits_of(x.basis), lifted, guards)
+    return memo(lat.parent._cache, ("start swcs", x.key(), guards), search)
 
 
 def is_semiweak_cs(m: RightModule, reading: str = "submodule",
@@ -500,38 +520,45 @@ def is_c4_m(m: RightModule, arity: int, rule_id: str = DEFAULT_RULE_ID,
 # depth extensions
 # ---------------------------------------------------------------------------
 
-def _chain_starts(m: RightModule, depth: int, strict: bool, guards: Guards):
+def _chain_starts(lat: SubmoduleLattice, depth: int, strict: bool):
     """Lattice members that begin a depth-d subobject chain.
 
     Strict chains require d proper inclusions X_0 < ... < X_d; the final
     containment X_d <= M is unconstrained.  Non-strict chains allow
     repeats, so every member qualifies.
     """
-    lat = all_submodules(m, guards.max_lattice_vectors)
     if not strict:
         return list(lat.members)
     contains = lat.contains_matrix()
     n = len(lat.members)
     height = [0] * n
-    order = sorted(range(n), key=lambda i: -lat.members[i].dim)
-    for i in order:
-        best = 0
-        for j in range(n):
-            if j != i and contains[i, j] and lat.members[i].dim < lat.members[j].dim:
-                best = max(best, height[j] + 1)
-        height[i] = best
+    # members come in increasing dimension, so every strict upper bound of
+    # member i comes after it
+    for i in reversed(range(n)):
+        height[i] = max((height[j] + 1 for j in range(i + 1, n)
+                         if contains[i, j] and lat.bits[i] != lat.bits[j]), default=0)
     return [lat.members[i] for i in range(n) if height[i] >= depth]
 
 
 def check_extended(m: RightModule, arity: int = 2, depth: int = 1,
                    strict: bool = True, rule_id: str = DEFAULT_RULE_ID,
                    guards: Guards = DEFAULT_GUARDS) -> dict:
-    """Flags for the arity/depth extension grid at one (m, d) cell."""
-    starts = _chain_starts(m, depth, strict, guards)
+    """Flags for the arity/depth extension grid at one (m, d) cell.
+
+    The swCS flag of a chain start X is `is_semiweak_cs` on X's own module
+    under the submodule reading, read off M's lattice without building
+    X's: X's submodules are the members below X, its socle is
+    soc X = X ∩ soc M, and its summands, from X's own End scan, lift into
+    M as members.  Every unrealized disjoint pair still goes through
+    `iso_test`.  Its legs lie below X, so each is a chain start before X
+    whose own End scan has passed under these guards: testing the legs as
+    members of M raises nothing that testing them inside X would."""
+    lat = all_submodules(m, guards.max_lattice_vectors)
+    starts = _chain_starts(lat, depth, strict)
     c4star_d = all(is_c4(x.as_module(), rule_id, guards) for x in starts)
     # is_c4_m validates the arity and the rule; C4[m] is C4, so C4star_m_d is C4star_d
     c4_m = is_c4_m(m, arity, rule_id, guards)
-    swcs_d = all(is_semiweak_cs(x.as_module(), "submodule", guards) for x in starts)
+    swcs_d = all(_start_is_swcs(lat, x, guards) for x in starts)
     return {
         "C4star_d": c4star_d,
         "C4_m": c4_m,

@@ -10,9 +10,9 @@ enumeration runs.  `memo` checks a guard it is given even on a hit, and
 an entry whose computation checks bounds itself is keyed by those bounds.
 
 `FAILURE_STATUS` is the one table from failure kinds to the status a
-check records: a guard hit leaves it partial and a transport
-contradiction fails it.  The suite records checks and the CLI picks exit
-codes from it.
+check records: a guard hit leaves it partial, a transport contradiction
+fails it, and any other exception is an error.  The suite records checks
+and the CLI picks exit codes from it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,16 @@ class TheoremViolation(RuntimeError):
 FAILURE_STATUS = {
     GuardExceeded: "partial",
     TheoremViolation: "fail",
+    Exception: "error",
 }
+
+
+def failure_status(exc: Exception) -> tuple[str, str]:
+    """(status, detail) for an exception: the status FAILURE_STATUS gives
+    the most specific kind of exc, and its message, led by its type name
+    for an error."""
+    status = next(FAILURE_STATUS[kind] for kind in type(exc).__mro__ if kind in FAILURE_STATUS)
+    return status, f"{type(exc).__name__}: {exc}" if status == "error" else str(exc)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,16 @@ Every per-module result is memoized on the module object, and a parent
 holds one abstract module per distinct submodule action: submodules whose
 actions agree in their own bases share one RightModule
 (``Submodule.as_module``), so each scan runs once for all of them.
+
+The submodule lattice is an index (``SubmoduleLattice``).  Every
+submodule is the sum of the cyclic submodules it contains, so each
+member X carries S(X), the set of the parent's nonzero cyclic submodules
+inside X, as a Python-int bitset, and lattice questions are integer
+operations with no elimination:
+
+* X <= Y iff S(X) is a subset of S(Y);
+* X ∩ Y = 0 iff S(X) & S(Y) == 0;
+* X is semisimple iff S(X) is a subset of S(soc M).
 """
 
 from __future__ import annotations
@@ -379,36 +389,53 @@ def cyclic_submodule_basis(m: RightModule, vector) -> np.ndarray:
 
 
 class SubmoduleLattice:
-    """Complete submodule list with containment data."""
+    """Every submodule of a parent, indexed by cyclic-submodule bitsets.
 
-    def __init__(self, parent: RightModule, members: list[Submodule]):
+    ``bits[i]`` is S(members[i]) as a Python int: bit c is set when the
+    c-th nonzero cyclic submodule of the parent lies in members[i].  Every
+    submodule is the sum of the cyclic submodules it contains, so X -> S(X)
+    is an order embedding, and three facts are integer operations on it:
+
+    * X <= Y iff S(X) is a subset of S(Y);
+    * X ∩ Y = 0 iff S(X) & S(Y) == 0, as a nonzero intersection holds a
+      nonzero cyclic submodule;
+    * X is semisimple iff S(X) is a subset of S(soc M), as soc M is the
+      largest semisimple submodule.
+
+    Since soc A = A ∩ soc M, N <=e A iff S(N) is a subset of S(A) and
+    S(A) & S(soc M) is a subset of S(N) (``essential``).
+    """
+
+    def __init__(self, parent: RightModule, members: list[Submodule], bits: list[int]):
         self.parent = parent
         self.members = tuple(members)
+        self.bits = tuple(bits)
+        self.index = {x.key(): i for i, x in enumerate(self.members)}
         self._cache: dict = {}
 
     def __len__(self):
         return len(self.members)
 
+    def bits_of(self, basis: np.ndarray) -> int:
+        """S(X) for the submodule X with this canonical (RREF) basis."""
+        return self.bits[self.index[basis.tobytes()]]
+
+    def socle_bits(self) -> int:
+        return memo(self._cache, "socle", lambda: self.bits_of(socle(self.parent).basis))
+
+    def essential(self, n: int, a: int) -> bool:
+        """N <=e A for the members N and A with bits n and a."""
+        return not n & ~a and not a & self.socle_bits() & ~n
+
     def contains_matrix(self) -> np.ndarray:
         """Boolean matrix C with C[i, j] true iff members[i] <= members[j]."""
-        return memo(self._cache, "contains", self._containment)
-
-    def _containment(self) -> np.ndarray:
-        return np.array([[a.dim <= b.dim and b.contains(a) for b in self.members]
-                         for a in self.members], dtype=bool)
+        return memo(self._cache, "contains", lambda: np.array(
+            [[not a & ~b for b in self.bits] for a in self.bits], dtype=bool))
 
     def minimal_members(self) -> list[Submodule]:
-        """Nonzero members containing no smaller nonzero member."""
-        out = []
-        c = self.contains_matrix()
-        for i, s in enumerate(self.members):
-            if s.dim == 0:
-                continue
-            below = [j for j in range(len(self.members))
-                     if c[j, i] and 0 < self.members[j].dim < s.dim]
-            if not below:
-                out.append(s)
-        return out
+        """Nonzero members containing no smaller nonzero member: the ones
+        holding a single nonzero cyclic submodule, themselves."""
+        return [x for x, b in zip(self.members, self.bits) if b.bit_count() == 1]
 
 
 def all_submodules(m: RightModule,
@@ -421,30 +448,54 @@ def all_submodules(m: RightModule,
 
 def _lattice(m: RightModule, total: int) -> SubmoduleLattice:
     p = m.p
-    seen: dict[bytes, np.ndarray] = {}
-    zero = linalg.zeros(0, m.dim)
-    seen[zero.tobytes()] = zero
+    cyclics: dict[bytes, np.ndarray] = {}
     # 2048 codes a block bound each transient (block, dim R, dim M) acted stack
     for block in linalg.coeff_blocks(total, m.dim, p, block=2048):
         acted = m.act_rows(block).reshape(block.shape[0], m.ring.dim, m.dim)
         for basis in linalg.distinct_row_spaces(acted, p):
-            seen.setdefault(basis.tobytes(), basis)
-    # close under pairwise sums, breadth-first until stable
-    frontier = list(seen.values())
-    cyclics = list(seen.values())
+            cyclics.setdefault(basis.tobytes(), basis)
+    zero = linalg.zeros(0, m.dim)
+    cyclics.pop(zero.tobytes(), None)
+    cyc = list(cyclics.values())
+    rows = np.concatenate([zero, *cyc])
+    starts = np.cumsum([0] + [b.shape[0] for b in cyc[:-1]])
+
+    def bits_of(basis: np.ndarray) -> int:
+        # cyclic c lies in X iff each row of its basis has a zero residual
+        # against X's RREF basis, rows - rows[:, pivots] @ basis
+        piv = (basis != 0).argmax(axis=1)
+        out = np.any(rows != linalg.matmul_mod(rows[:, piv], basis, p), axis=1)
+        inside = ~np.logical_or.reduceat(out, starts)
+        return int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little")
+
+    bases = {zero.tobytes(): zero, **cyclics}
+    bits = {key: bits_of(basis) if basis.shape[0] else 0 for key, basis in bases.items()}
+    # close under sums with one cyclic at a time, breadth-first.  a + c is
+    # the sum of the cyclics in S(a) | S(c), so a union already met, or one
+    # equal to a member's bits, names a sum that is already a member
+    known = set(bits.values())
+    cyc_bits = [bits[key] for key in cyclics]
+    frontier = list(cyclics)
     while frontier:
         fresh = []
-        for a in frontier:
-            for b in cyclics:
-                s = linalg.sum_rows(a, b, p)
-                kb = s.tobytes()
-                if kb not in seen:
-                    seen[kb] = s
-                    fresh.append(s)
+        for key in frontier:
+            a, sa = bases[key], bits[key]
+            for basis, sc in zip(cyc, cyc_bits):
+                union = sa | sc
+                if union in known:
+                    continue
+                known.add(union)
+                s = linalg.sum_rows(a, basis, p)
+                ks = s.tobytes()
+                if ks not in bases:
+                    bases[ks] = s
+                    bits[ks] = bits_of(s)
+                    known.add(bits[ks])
+                    fresh.append(ks)
         frontier = fresh
-    members = [Submodule(m, b, check=False) for b in seen.values()]
-    members.sort(key=lambda s: (s.dim, s.key()))
-    return SubmoduleLattice(m, members)
+    order = sorted(bases, key=lambda key: (bases[key].shape[0], key))
+    return SubmoduleLattice(m, [Submodule(m, bases[key], check=False) for key in order],
+                            [bits[key] for key in order])
 
 
 def radical_submodule(m: RightModule) -> Submodule:
@@ -802,12 +853,9 @@ def is_closed(n: Submodule, m: RightModule,
               max_vectors: int = DEFAULT_GUARDS.max_lattice_vectors) -> bool:
     """No member strictly above N has N essential in it."""
     _check_sub(n, m)
-    for member in all_submodules(m, max_vectors).members:
-        if member.dim <= n.dim or not member.contains(n):
-            continue
-        if essential_in(n, member):
-            return False
-    return True
+    lat = all_submodules(m, max_vectors)
+    s = lat.bits_of(n.basis)
+    return not any(b != s and lat.essential(s, b) for b in lat.bits)
 
 
 def classical_predicates(m: RightModule,
@@ -818,6 +866,7 @@ def classical_predicates(m: RightModule,
     lat = all_submodules(m, max_vectors)
     summands = summand_list(m, max_end)
     summand_keys = {s.key() for s in summands}
+    summand_bits = [lat.bits_of(s.basis) for s in summands]
 
     c2 = True
     for n in lat.members:
@@ -833,24 +882,24 @@ def classical_predicates(m: RightModule,
             break
 
     c3 = True
-    for a in summands:
-        for b in summands:
-            inter = linalg.intersect_rows(a.basis, b.basis, m.p)
-            if inter.shape[0]:
+    for a in summand_bits:
+        for b in summand_bits:
+            if a & b:
                 continue
-            total = Submodule(m, linalg.sum_rows(a.basis, b.basis, m.p), check=False)
+            # A + B is the smallest member holding both, the first in (dim, key) order
+            total = next(x for x, s in zip(lat.members, lat.bits) if not (a | b) & ~s)
             if total.key() not in summand_keys and is_summand(total, m) is None:
                 c3 = False
                 break
         if not c3:
             break
 
-    def essentially_in_summand(n: Submodule) -> bool:
-        return any(essential_in(n, d) for d in summands)
+    def essentially_in_summand(n: int) -> bool:
+        return any(lat.essential(n, d) for d in summand_bits)
 
-    cs = all(essentially_in_summand(n) for n in lat.members)
-    weak_cs = all(essentially_in_summand(n) for n in lat.members
-                  if is_semisimple(n.as_module()))
+    soc = lat.socle_bits()
+    cs = all(essentially_in_summand(n) for n in lat.bits)
+    weak_cs = all(essentially_in_summand(n) for n in lat.bits if not n & ~soc)
 
     # Finite-dimensional modules are directly finite: an isomorphism
     # M ~ M + N forces dim N = 0.

@@ -521,14 +521,12 @@ def transport_property_check(prog: Progenerator, m: RightModule,
     bijective = (len(keys) == len(lat.members)
                  and keys == {s.key() for s in lat_image.members})
 
-    order_ok = True
-    for i, a in enumerate(lat.members):
-        for j, b in enumerate(lat.members):
-            if b.contains(a) != transported[j].contains(transported[i]):
-                order_ok = False
-                break
-        if not order_ok:
-            break
+    order_ok = bijective
+    if bijective:
+        # the containments among the transports, read off the image lattice
+        at = [lat_image.index[t.key()] for t in transported]
+        order_ok = np.array_equal(lat.contains_matrix(),
+                                  lat_image.contains_matrix()[np.ix_(at, at)])
 
     summand_ok = all(
         (is_summand(n, m) is not None) == (is_summand(tn, tr.image) is not None)

@@ -152,7 +152,7 @@ def suite_report_dict(results: list, guards: Guards) -> dict:
         "guards": guards.to_dict(),
         "checks": results,
         "total": len(results),
-        "failures": sum(1 for r in results if r["status"] == "fail"),
+        "failures": sum(1 for r in results if r["status"] in ("fail", "error")),
         "partial": sum(1 for r in results if r["status"] == "partial"),
     }
 

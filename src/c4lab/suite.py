@@ -28,7 +28,7 @@ from .conditions import (
     serialize_value,
 )
 from .corpus import corpus_builtin, corpus_rings
-from .guards import Guards, DEFAULT_GUARDS, FAILURE_STATUS
+from .guards import Guards, DEFAULT_GUARDS, FAILURE_STATUS, failure_status
 from .modules import (
     all_submodules,
     classical_predicates,
@@ -59,14 +59,16 @@ def _record(name, ok, detail=""):
 
 
 def run_check(name, check) -> list:
-    """The records check() yields; a failure kind of guards.FAILURE_STATUS
-    ends them with one record of its status under the given name."""
+    """The records check() yields; an exception ends them with one record
+    under the given name, of the status and detail `failure_status` gives
+    it."""
     records = []
     try:
         for record in check():
             records.append(record)
     except tuple(FAILURE_STATUS) as exc:
-        records.append({"name": name, "status": FAILURE_STATUS[type(exc)], "detail": str(exc)})
+        status, detail = failure_status(exc)
+        records.append({"name": name, "status": status, "detail": detail})
     return records
 
 
@@ -401,15 +403,15 @@ FAMILIES = (
 
 def run_suite(guards: Guards = DEFAULT_GUARDS, name_filter: str = "") -> list:
     """Run the suite; a filter selects matching families, falling back to
-    filtering individual check names when no family name matches."""
+    filtering individual check names when no family name matches.  A
+    family that raises ends with one record under its name (`run_check`),
+    kept whatever the filter, and the other families still run."""
     selected = [(name, fn) for name, fn in FAMILIES
                 if not name_filter or name_filter in name]
     results = []
-    if selected:
-        for _, family in selected:
-            results.extend(family(guards))
-    else:
-        for _, family in FAMILIES:
-            results.extend(r for r in family(guards) if name_filter in r["name"])
+    for name, family in selected or FAMILIES:
+        records = run_check(name, lambda: family(guards))
+        results.extend(r for r in records if selected or name_filter in r["name"]
+                       or r["name"] == name)
     results.sort(key=lambda r: r["name"])
     return results

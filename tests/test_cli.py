@@ -341,3 +341,42 @@ def test_corner_coordinates_are_reduced_mod_p(runner, mixed_module_file):
                                 "--corner", f"{2 ** 70 + 1},{-2 ** 66}"])
     assert reduced.exit_code == 0, reduced.output
     assert huge.output == reduced.output
+
+
+def test_a_family_that_raises_is_one_error_record_and_the_others_still_run(
+        runner, monkeypatch, tmp_path):
+    from c4lab import suite
+    from c4lab.guards import DEFAULT_GUARDS
+
+    def broken(guards):
+        raise ValueError("no such corpus module")
+    families = (("essentiality", suite.criterion_essentiality),
+                ("structural-invariants", broken),
+                ("ring-level", suite.criterion_ring_level))
+    others = [r for name, family in families if family is not broken
+              for r in family(DEFAULT_GUARDS)]
+    monkeypatch.setattr(suite, "FAMILIES", families)
+    out = tmp_path / "suite.json"
+    result = runner.invoke(main, ["suite", "--out", str(out)])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == ("internal error: structural-invariants: "
+                             "ValueError: no such corpus module\n")
+    error = {"name": "structural-invariants", "status": "error",
+             "detail": "ValueError: no such corpus module"}
+    summary = json.loads(out.read_text())
+    assert summary["checks"] == sorted(others + [error], key=lambda r: r["name"])
+    assert (summary["total"], summary["failures"]) == (len(others) + 1, 1)
+    assert "[ERROR  ] structural-invariants" in result.stdout
+
+
+def test_an_unexpected_exception_exits_3_with_one_line(runner, r2_file, monkeypatch):
+    from c4lab import conditions
+
+    def broken(*args, **kwargs):
+        raise KeyError("socle")
+    monkeypatch.setattr(conditions, "decompose_strong", broken)
+    result = runner.invoke(main, ["analyze", r2_file, "--ring"])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "internal error: KeyError: 'socle'\n"

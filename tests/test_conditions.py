@@ -550,3 +550,50 @@ def test_reports_on_a_long_lived_ring_leave_no_module_alive():
         assert report.flags
         del m, report
         assert live() == baseline
+
+
+# ---------------------------------------------------------------------------
+# chain-start swCS read off the parent's lattice
+# ---------------------------------------------------------------------------
+
+def test_chain_start_swcs_read_off_the_lattice_equals_a_fresh_search():
+    """For every member X of every corpus module and T_n path module, the
+    flag `check_extended` reads off M's lattice equals `is_semiweak_cs` on
+    a fresh copy of X's own module, which builds X's own lattice."""
+    from c4lab.conditions import _start_is_swcs
+    from c4lab.corpus import corpus_builtin
+    from c4lab.guards import DEFAULT_GUARDS
+    from c4lab.modules import all_submodules
+    from test_modules import tiny_oracle_modules
+
+    members, flags = 0, set()
+    for m in [e.module for e in corpus_builtin()] + tiny_oracle_modules() + \
+            [regular_module(local_square_zero_algebra(p, 2)) for p in (2, 3)]:
+        lat = all_submodules(m)
+        for x in lat.members:
+            mod = x.as_module()
+            want = is_semiweak_cs(RightModule(mod.ring, mod.action, validate=False))
+            assert _start_is_swcs(lat, x, DEFAULT_GUARDS) == want, (m.name, x.dim)
+            flags.add(want)
+            members += 1
+    assert members > 1500 and flags == {True, False}
+
+
+def test_a_tight_end_bound_leaves_the_chain_start_swcs_scan_partial():
+    """T3(1, 2, 2) with arrows [1 1] and diag(1, 0) is not C4* at depth 1, so
+    the C4 scan of the chain starts stops early; the swCS scan goes on to a
+    3-dimensional start whose End scan needs 2^5 candidates, and names it
+    as a search on the start's own module does."""
+    from c4lab.algebra import upper_triangular_algebra
+    from c4lab.guards import Guards
+    from test_modules import path_module
+
+    def module():
+        return path_module(upper_triangular_algebra(2, 3), 3, (1, 2, 2),
+                           [np.array([[1, 1]]), np.array([[1, 0], [0, 0]])])
+
+    cell = check_extended(module(), 2, 1)
+    assert (cell["C4star_d"], cell["swcs_depth_d"]) == (False, True)
+    with pytest.raises(GuardExceeded) as exc:
+        check_extended(module(), 2, 1, guards=Guards(max_end_enumeration=16))
+    assert str(exc.value) == "endomorphism scan of T3(1, 2, 2)|sub3: needs 32 > bound 16"

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c4lab import linalg
 from c4lab.algebra import (
@@ -619,3 +621,88 @@ def test_socle_length_and_summands_match_brute_force_at_tiny_sizes():
                 assert _span_rank(x.basis, found.basis, p=p) == m.dim
             checked += 1
     assert checked > 1000
+
+
+# ---------------------------------------------------------------------------
+# the lattice bitsets against eliminations and brute force
+# ---------------------------------------------------------------------------
+
+def rref_subspaces(n, p):
+    """Every subspace of GF(p)^n as its RREF basis, from its pivot columns
+    and free entries: no elimination and no lattice involved."""
+    for r in range(n + 1):
+        for piv in itertools.combinations(range(n), r):
+            slots = [(i, c) for i in range(r) for c in range(piv[i] + 1, n) if c not in piv]
+            for values in itertools.product(range(p), repeat=len(slots)):
+                basis = linalg.zeros(r, n)
+                basis[range(r), piv] = 1
+                for (i, c), v in zip(slots, values):
+                    basis[i, c] = v
+                yield basis
+
+
+def brute_force_lattice(m):
+    """The action-closed subspaces of m in (dim, key) order."""
+    closed = [b for b in rref_subspaces(m.dim, m.p)
+              if b.shape[0] == 0 or linalg.in_row_space(m.act_rows(b), b, m.p)]
+    return sorted((b.tobytes() for b in closed), key=lambda key: (len(key), key))
+
+
+def assert_bitsets_match_oracles(m):
+    """Every ordered member pair: containment, disjointness and the
+    essential hull from the bits against eliminations and the definitional
+    oracle, and semisimplicity against the member's own socle.  Returns
+    the number of pairs."""
+    lat = all_submodules(m)
+    soc, pairs = lat.socle_bits(), 0
+    for x, bx in zip(lat.members, lat.bits):
+        assert (not bx & ~soc) == is_semisimple(x.as_module()), (m.name, x.dim)
+        for y, by in zip(lat.members, lat.bits):
+            inside = not bx & ~by
+            assert inside == y.contains(x), (m.name, x.dim, y.dim)
+            assert (not bx & by) == (linalg.intersect_rows(x.basis, y.basis, m.p).shape[0] == 0)
+            if inside:
+                y_mod = y.as_module()
+                want = essential_oracle(Submodule(y_mod, y.from_parent(x.basis)), y_mod)
+            else:
+                want = False
+            assert lat.essential(bx, by) == want, (m.name, x.dim, y.dim)
+            pairs += 1
+    return pairs
+
+
+def bitset_oracle_modules():
+    """The corpus, the tiny oracle modules and the regular modules of
+    F_p<x, y>/(x, y)^2 for p = 2, 3."""
+    return ([e.module for e in corpus_builtin()] + tiny_oracle_modules()
+            + [regular_module(local_square_zero_algebra(p, 2)) for p in (2, 3)])
+
+
+def test_lattice_bitsets_match_eliminations_and_oracles():
+    modules = bitset_oracle_modules()
+    pairs = sum(assert_bitsets_match_oracles(m) for m in modules)
+    assert len(modules) > 150 and pairs > 30000
+
+
+def test_tiny_lattices_are_every_closed_subspace_in_order():
+    for m in tiny_oracle_modules():
+        assert [x.key() for x in all_submodules(m).members] == brute_force_lattice(m), m.name
+
+
+@st.composite
+def path_modules(draw):
+    """A T_n-module of at most 2^6 elements from any tuple of arrow matrices."""
+    p, n = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+    dims = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
+                .filter(lambda d: 0 < p ** sum(d) <= 2 ** 6))
+    arrows = [np.array(draw(st.lists(st.integers(0, p - 1), min_size=dims[k] * dims[k + 1],
+                                     max_size=dims[k] * dims[k + 1])),
+                       dtype=np.int64).reshape(dims[k], dims[k + 1]) for k in range(n - 1)]
+    return path_module(upper_triangular_algebra(p, n), n, dims, arrows)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(path_modules())
+def test_lattice_bitsets_of_generated_path_modules(m):
+    assert_bitsets_match_oracles(m)
+    assert [x.key() for x in all_submodules(m).members] == brute_force_lattice(m)

@@ -110,3 +110,13 @@ def test_swcs_under_a_tiny_iso_search_bound_records_its_verdict():
     (record,) = corpus_expectation_checks(Guards(max_iso_search=1), entries=[entry])
     assert record["name"] == "corpus:k.reg:swCS"
     assert record["status"] == "pass", record["detail"]
+
+
+def test_run_check_records_any_other_exception_as_an_error():
+    def check():
+        yield {"name": "first", "status": "pass", "detail": ""}
+        raise KeyError("x")
+    assert run_check("check", check) == [
+        {"name": "first", "status": "pass", "detail": ""},
+        {"name": "check", "status": "error", "detail": "KeyError: 'x'"},
+    ]
