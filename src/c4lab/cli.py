@@ -118,6 +118,16 @@ def analyze(module_file, ring_mode, extensions, strict_chains, guards_path, out_
         write_structured(out_path, defect_report_dict(report, guards, DEFAULT_RULE_ID))
 
 
+def _parse_corner(text):
+    """An idempotent index, or a list of coordinates if the text has a comma."""
+    try:
+        values = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise InputError(f"--corner: expected an index or comma-separated integer "
+                         f"coordinates, got {text!r}") from None
+    return values if "," in text else values[0]
+
+
 @main.command()
 @click.argument("module_file", type=click.Path(exists=True))
 @click.option("--matrix", "matrix_n", type=int, default=None,
@@ -141,23 +151,23 @@ def morita(module_file, matrix_n, corner_spec, conditions, guards_path, out_path
                               for name in conditions.split(",") if name.strip())
         except ValueError as exc:
             raise InputError(f"--conditions: {exc}") from None
+        if not cond_list:
+            raise InputError("--conditions: no condition given")
+        corner = None if corner_spec is None else _parse_corner(corner_spec)
         guards = load_guards(guards_path)
         module = _load(module_file, ring_mode=False)
         if matrix_n is not None:
             realization = ("matrix", matrix_n)
+        elif isinstance(corner, list):
+            realization = ("corner", [c % module.ring.p for c in corner])
         else:
-            if "," in corner_spec:
-                coords = [int(c) % module.ring.p for c in corner_spec.split(",")]
-            else:
-                from .algebra import idempotents
-                idems = idempotents(module.ring, guards.max_end_enumeration)
-                idx = int(corner_spec)
-                if not 0 <= idx < len(idems):
-                    raise InputError(
-                        f"idempotent index {idx} out of range "
-                        f"({len(idems)} idempotents)")
-                coords = idems[idx].coords
-            realization = ("corner", coords)
+            from .algebra import idempotents
+            idems = idempotents(module.ring, guards.max_end_enumeration)
+            if not 0 <= corner < len(idems):
+                raise InputError(
+                    f"--corner: idempotent index {corner} out of range "
+                    f"({len(idems)} idempotents)")
+            realization = ("corner", idems[corner].coords)
         result = morita_pair_check(module.ring, realization, module,
                                    cond_list, guards=guards)
     click.echo(render_morita_report(result))

@@ -285,20 +285,16 @@ def is_c4(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
     return len(def_c4(m, rule_id, guards)) == 0
 
 
-def c4star_class_key(sub: Submodule, rec: WitnessRecord) -> tuple:
-    """Shape key of a submodule-level defect: carrier screen + local key."""
-    return (fingerprint(sub.as_module()), rec.shape_key())
-
-
 def shape_classes(items) -> dict:
     """Group defects by shape key; values are (count, sample).
 
-    Items are witnesses, or (submodule, witness) pairs keyed by
-    c4star_class_key.
+    Items are witnesses, or (submodule, witness) pairs keyed by the
+    submodule's fingerprint and the witness's shape key.
     """
     out: dict[tuple, list] = {}
     for item in items:
-        key = c4star_class_key(*item) if isinstance(item, tuple) else item.shape_key()
+        key = ((fingerprint(item[0].as_module()), item[1].shape_key())
+               if isinstance(item, tuple) else item.shape_key())
         out.setdefault(key, []).append(item)
     return {k: (len(v), v[0]) for k, v in sorted(out.items(), key=lambda kv: repr(kv[0]))}
 
@@ -335,11 +331,6 @@ class ObstructionPair:
     y: Submodule
     minimal: bool
     lengths: tuple[int, int]
-
-    def shape_key(self) -> tuple:
-        fx = fingerprint(self.x.as_module())
-        fy = fingerprint(self.y.as_module())
-        return (self.lengths, min(fx, fy), max(fx, fy))
 
 
 READINGS = ("submodule", "literal-summand")

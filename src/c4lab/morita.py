@@ -33,7 +33,6 @@ from .conditions import (
     CONDITION_NAMES,
     Decomposition,
     WitnessRecord,
-    c4star_class_key,
     condition_label,
     def_c4,
     def_c4star,
@@ -50,7 +49,6 @@ from .modules import (
     RightModule,
     Submodule,
     all_submodules,
-    fingerprint,
     hom_space_matrices,
     is_essential,
     is_semisimple,
@@ -434,10 +432,11 @@ def morita_pair_check(ring: FiniteAlgebra, realization, m: RightModule,
     }
 
 
-def _transported_witness_key(tr: TransportedModule, w: WitnessRecord) -> tuple:
-    a_t, b_t, ker_t, im_t = (transport_submodule(tr, sub) for sub in (
-        w.decomposition.a, w.decomposition.b, w.kernel, w.image))
-    return (a_t.dim, b_t.dim, ker_t.dim, im_t.dim, fingerprint(im_t.as_module()))
+def _lifted_carriers(x: Submodule, w: WitnessRecord) -> tuple[Submodule, ...]:
+    """A, B, ker f and im f of a witness on X's own module, as submodules
+    of X's parent."""
+    return tuple(Submodule(x.parent, x.to_parent(s.basis), check=False)
+                 for s in (w.decomposition.a, w.decomposition.b, w.kernel, w.image))
 
 
 def defect_bijection_check(prog: Progenerator, m: RightModule,
@@ -445,10 +444,12 @@ def defect_bijection_check(prog: Progenerator, m: RightModule,
                            guards: Guards = DEFAULT_GUARDS) -> dict:
     """Compare the three defect classes of M and F(M).
 
-    Emptiness must match exactly; shape-class multisets must correspond
-    under the dimension map induced by the functor (computed by actually
-    transporting each witness's carriers); the obstruction index must be
-    equal on both sides.
+    Emptiness must match exactly.  F maps lat(M) isomorphically onto
+    lat(F M), so the classes must correspond as canonical bases, with no
+    invariant involved: the transports of each witness's carriers (X for
+    C4*, then A, B, ker f, im f) and of each obstruction pair's legs equal,
+    as multisets, those computed natively on F(M).  The obstruction index
+    must be equal on both sides.
     """
     tr = apply_functor(prog, m)
     fm = tr.image
@@ -471,25 +472,22 @@ def defect_bijection_check(prog: Progenerator, m: RightModule,
         },
     }
 
-    mapped_c4 = Counter(_transported_witness_key(tr, w) for w in src_c4)
-    native_c4 = Counter(w.shape_key() for w in dst_c4)
-    report["multiset_def_c4"] = mapped_c4 == native_c4
+    def mapped(subs):
+        return tuple(transport_submodule(tr, s).key() for s in subs)
 
-    mapped_star: Counter = Counter()
-    for sub, rec in src_c4star:
-        tr_sub = apply_functor(prog, sub.as_module())
-        mapped_star[(fingerprint(tr_sub.image),
-                     _transported_witness_key(tr_sub, rec))] += 1
-    native_star = Counter(c4star_class_key(sub, rec) for sub, rec in dst_c4star)
-    report["multiset_def_c4star"] = mapped_star == native_star
+    def native(subs):
+        return tuple(s.key() for s in subs)
 
-    mapped_obs: Counter = Counter()
-    for pair in src_obs:
-        fx = fingerprint(apply_functor(prog, pair.x.as_module()).image)
-        fy = fingerprint(apply_functor(prog, pair.y.as_module()).image)
-        mapped_obs[(pair.lengths, min(fx, fy), max(fx, fy))] += 1
-    native_obs = Counter(pair.shape_key() for pair in dst_obs)
-    report["multiset_obs_swcs"] = mapped_obs == native_obs
+    m_full, fm_full = m.full_submodule(), fm.full_submodule()
+    report["multiset_def_c4"] = (
+        Counter(mapped(_lifted_carriers(m_full, w)) for w in src_c4)
+        == Counter(native(_lifted_carriers(fm_full, w)) for w in dst_c4))
+    report["multiset_def_c4star"] = (
+        Counter(mapped((x, *_lifted_carriers(x, w))) for x, w in src_c4star)
+        == Counter(native((x, *_lifted_carriers(x, w))) for x, w in dst_c4star))
+    report["multiset_obs_swcs"] = (
+        Counter(frozenset(mapped((pair.x, pair.y))) for pair in src_obs)
+        == Counter(frozenset(native((pair.x, pair.y))) for pair in dst_obs))
 
     report["iota_source"] = serialize_value(obstruction_index(m, "submodule", guards))
     report["iota_image"] = serialize_value(obstruction_index(fm, "submodule", guards))

@@ -231,6 +231,29 @@ def test_morita_rejects_bad_conditions_before_computing(
     assert result.output.count("\n") == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--matrix", "2", "--conditions", ","], "--conditions: no condition given"),
+    (["--matrix", "2", "--conditions", ""], "--conditions: no condition given"),
+    (["--corner", "x"], "--corner: expected an index or comma-separated integer "
+                        "coordinates, got 'x'"),
+    (["--corner", "1,x"], "--corner: expected an index or comma-separated integer "
+                          "coordinates, got '1,x'"),
+    (["--corner", "1,"], "--corner: expected an index or comma-separated integer "
+                         "coordinates, got '1,'"),
+    (["--corner", "7"], "--corner: idempotent index 7 out of range (2 idempotents)"),
+])
+def test_morita_rejects_empty_conditions_and_bad_corners_before_computing(
+        runner, mixed_module_file, monkeypatch, args, message):
+    from c4lab import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("options must be validated before any check runs")
+    monkeypatch.setattr(cli, "morita_pair_check", never)
+    result = runner.invoke(main, ["morita", mixed_module_file, *args])
+    assert result.exit_code == 2
+    assert result.output == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("extensions, message", [
     ("1,1", "cell '1,1': arity must be >= 2"),
     ("2,1;a,1", "cell 'a,1': arity and depth must be non-negative integers"),

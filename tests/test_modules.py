@@ -44,6 +44,7 @@ from c4lab.modules import (
     socle,
     submodule_span,
 )
+from c4lab.morita import build_progenerator, defect_bijection_check
 
 
 @pytest.fixture(scope="module")
@@ -597,30 +598,37 @@ def test_socle_length_and_summands_match_brute_force_at_tiny_sizes():
     """socle is the sum of the minimal lattice members, composition_length
     is the longest chain in the lattice, and is_summand finds a complement
     exactly when some lattice member is one."""
-    checked = 0
-    for m in tiny_oracle_modules():
-        p, members = m.p, all_submodules(m).members
-        inside = [[y.dim < x.dim and _span_rank(x.basis, y.basis, p=p) == x.dim
-                   for y in members] for x in members]
-        minimal = [x for i, x in enumerate(members)
-                   if x.dim and not any(inside[i][j] and y.dim for j, y in enumerate(members))]
-        soc = linalg.row_space(np.concatenate([x.basis for x in minimal] +
-                                              [linalg.zeros(0, m.dim)]), p)
-        assert np.array_equal(socle(m).basis, soc), m.name
-        height = []
-        for i in range(len(members)):   # members come in increasing dimension
-            height.append(max([height[j] + 1 for j in range(i) if inside[i][j]], default=0))
-        assert composition_length(m) == height[-1], m.name
-        for x in members:
-            found = is_summand(x, m)
-            brute = any(y.dim == m.dim - x.dim and _span_rank(x.basis, y.basis, p=p) == m.dim
-                        for y in members)
-            assert (found is not None) == brute, (m.name, x.dim)
-            if found is not None:
-                assert found.dim == m.dim - x.dim
-                assert _span_rank(x.basis, found.basis, p=p) == m.dim
-            checked += 1
+    checked = sum(assert_socle_length_and_summands_match_brute_force(m)
+                  for m in tiny_oracle_modules())
     assert checked > 1000
+
+
+def assert_socle_length_and_summands_match_brute_force(m):
+    """The brute-force socle, length and summand oracles on one module;
+    returns the number of lattice members checked."""
+    checked = 0
+    p, members = m.p, all_submodules(m).members
+    inside = [[y.dim < x.dim and _span_rank(x.basis, y.basis, p=p) == x.dim
+               for y in members] for x in members]
+    minimal = [x for i, x in enumerate(members)
+               if x.dim and not any(inside[i][j] and y.dim for j, y in enumerate(members))]
+    soc = linalg.row_space(np.concatenate([x.basis for x in minimal] +
+                                          [linalg.zeros(0, m.dim)]), p)
+    assert np.array_equal(socle(m).basis, soc), m.name
+    height = []
+    for i in range(len(members)):   # members come in increasing dimension
+        height.append(max([height[j] + 1 for j in range(i) if inside[i][j]], default=0))
+    assert composition_length(m) == height[-1], m.name
+    for x in members:
+        found = is_summand(x, m)
+        brute = any(y.dim == m.dim - x.dim and _span_rank(x.basis, y.basis, p=p) == m.dim
+                    for y in members)
+        assert (found is not None) == brute, (m.name, x.dim)
+        if found is not None:
+            assert found.dim == m.dim - x.dim
+            assert _span_rank(x.basis, found.basis, p=p) == m.dim
+        checked += 1
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -706,3 +714,15 @@ def path_modules(draw):
 def test_lattice_bitsets_of_generated_path_modules(m):
     assert_bitsets_match_oracles(m)
     assert [x.key() for x in all_submodules(m).members] == brute_force_lattice(m)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(path_modules())
+def test_socle_length_and_summands_of_generated_path_modules(m):
+    assert_socle_length_and_summands_match_brute_force(m)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(path_modules())
+def test_defect_classes_of_generated_path_modules_correspond_under_transport(m):
+    assert defect_bijection_check(build_progenerator(m.ring, ("matrix", 2)), m)["ok"]

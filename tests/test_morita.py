@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
+from c4lab import morita
 from c4lab.algebra import (
     field_algebra,
     jacobson_radical,
     matrix_algebra,
     poly_quotient_algebra,
 )
-from c4lab.conditions import def_c4, enumerate_decompositions, evaluate_witness
-from c4lab.corpus import local_square_zero_algebra, simple_modules
+from c4lab.conditions import def_c4, enumerate_decompositions, evaluate_witness, obs_swcs
+from c4lab.corpus import corpus_builtin, local_square_zero_algebra, simple_modules
 from c4lab.modules import (
     ModuleHom,
     all_submodules,
     direct_sum,
+    fingerprint,
     iso_test,
     regular_module,
     socle,
@@ -205,6 +207,49 @@ def test_defect_bijection_check(prog, ms, r2):
     kreport = defect_bijection_check(kprog, regular_module(k))
     assert kreport["ok"]
     assert kreport["iota_source"] == 1 == kreport["iota_image"]
+
+
+def _reroute_transport(monkeypatch, tr, source, target):
+    """A broken functor: morita.transport_submodule sends the submodule of
+    tr's source with source's basis to target, and every other one right."""
+    real = morita.transport_submodule
+
+    def rerouted(t, n):
+        return target if t is tr and n.key() == source.key() else real(t, n)
+    monkeypatch.setattr(morita, "transport_submodule", rerouted)
+
+
+def test_defect_bijection_check_catches_an_image_sent_to_a_same_fingerprint_member(
+        monkeypatch):
+    """The first C4 defect's image goes to another member of lat(F M) with
+    its dimension and fingerprint: a fingerprint key cannot tell them apart,
+    a canonical basis can."""
+    (entry,) = [e for e in corpus_builtin() if e.name == "t2.T2(F2)_reg"]
+    m = entry.module
+    prog = build_progenerator(m.ring, ("matrix", 2))
+    tr = apply_functor(prog, m)
+    defects = def_c4(m)
+    assert len(defects) == 2
+    image = transport_submodule(tr, defects[0].image)
+    (twin, *_) = [x for x in all_submodules(tr.image).members
+                  if x != image and x.dim == image.dim
+                  and fingerprint(x.as_module()) == fingerprint(image.as_module())]
+    _reroute_transport(monkeypatch, tr, defects[0].image, twin)
+    report = defect_bijection_check(prog, m)
+    assert report["multiset_def_c4"] is False
+    assert report["ok"] is False
+
+
+def test_defect_bijection_check_catches_an_obstruction_leg_sent_onto_its_partner(
+        monkeypatch):
+    k = local_square_zero_algebra(2, 2)
+    m = regular_module(k)
+    prog = build_progenerator(k, ("matrix", 2))
+    tr = apply_functor(prog, m)
+    pairs = obs_swcs(m)
+    assert len(pairs) == 3
+    _reroute_transport(monkeypatch, tr, pairs[0].x, transport_submodule(tr, pairs[0].y))
+    assert defect_bijection_check(prog, m)["multiset_obs_swcs"] is False
 
 
 def test_generator_certificate_present(prog):
