@@ -128,6 +128,29 @@ def _parse_corner(text):
     return values if "," in text else values[0]
 
 
+def _corner_idempotent(ring, corner, spec, guards):
+    """The full idempotent that --corner names, checked before any
+    progenerator is built."""
+    from .algebra import idempotent_span_dim, idempotents
+    if isinstance(corner, list):
+        if len(corner) != ring.dim:
+            raise InputError(f"--corner: expected {ring.dim} coordinates, got {len(corner)}")
+        e = ring.element([c % ring.p for c in corner])
+        if not e.is_idempotent():
+            raise InputError(f"--corner: {spec!r} is not an idempotent")
+    else:
+        idems = idempotents(ring, guards.max_end_enumeration)
+        if not 0 <= corner < len(idems):
+            raise InputError(f"--corner: idempotent index {corner} out of range "
+                             f"({len(idems)} idempotents)")
+        e = idems[corner]
+    span_dim = idempotent_span_dim(ring, e)
+    if span_dim < ring.dim:
+        raise InputError(f"--corner: idempotent {spec!r} is not full: "
+                         f"span ReR has dimension {span_dim} < {ring.dim}")
+    return e
+
+
 @main.command()
 @click.argument("module_file", type=click.Path(exists=True))
 @click.option("--matrix", "matrix_n", type=int, default=None,
@@ -153,21 +176,16 @@ def morita(module_file, matrix_n, corner_spec, conditions, guards_path, out_path
             raise InputError(f"--conditions: {exc}") from None
         if not cond_list:
             raise InputError("--conditions: no condition given")
+        if matrix_n is not None and matrix_n < 1:
+            raise InputError(f"--matrix: the rank must be >= 1, got {matrix_n}")
         corner = None if corner_spec is None else _parse_corner(corner_spec)
         guards = load_guards(guards_path)
         module = _load(module_file, ring_mode=False)
         if matrix_n is not None:
             realization = ("matrix", matrix_n)
-        elif isinstance(corner, list):
-            realization = ("corner", [c % module.ring.p for c in corner])
         else:
-            from .algebra import idempotents
-            idems = idempotents(module.ring, guards.max_end_enumeration)
-            if not 0 <= corner < len(idems):
-                raise InputError(
-                    f"--corner: idempotent index {corner} out of range "
-                    f"({len(idems)} idempotents)")
-            realization = ("corner", idems[corner].coords)
+            realization = ("corner", _corner_idempotent(module.ring, corner, corner_spec,
+                                                        guards).coords)
         result = morita_pair_check(module.ring, realization, module,
                                    cond_list, guards=guards)
     click.echo(render_morita_report(result))

@@ -26,6 +26,13 @@ bitsets (`modules.SubmoduleLattice`), and a chain start's swCS flag is
 read off the parent's lattice (`check_extended`).  `def_c4star`,
 `obs_swcs` and the chain-start flags check guards inside their
 computations, so their caches are keyed by the Guards.
+
+A semisimple lattice member or chain start is decided by its bits with
+no scan: all its submodules are summands, so it is swCS, and C4 under a
+rule that declares `summand_image_valid`.  A guard bounds work that
+runs, so the skipped scans' guards are not checked, and a tight-guard run
+can be exact where a full scan would be partial, never the reverse.  The
+top-level module always gets the full scan.
 """
 
 from __future__ import annotations
@@ -156,12 +163,17 @@ class WitnessRule:
     injective_only is a fact the rule states about itself, not a setting:
     it promises that evaluate calls every datum with a non-injective f
     valid, so the C4 scan may skip those maps without evaluating them.
+    summand_image_valid is another: evaluate calls every datum whose image
+    is a direct summand of the parent valid.  In a semisimple module every
+    submodule is a summand, so such a rule finds no defect there, and
+    lattice members the bits call semisimple are not scanned.
     """
 
     rule_id: str
     description: str
     evaluate: callable
     injective_only: bool = False
+    summand_image_valid: bool = False
 
 
 def _mono_image_splits(parent, dec, f, kernel, image):
@@ -193,6 +205,7 @@ register_rule(WitnessRule(
                 "a direct-summand image",
     evaluate=_mono_image_splits,
     injective_only=True,
+    summand_image_valid=True,
 ))
 
 
@@ -303,13 +316,23 @@ def shape_classes(items) -> dict:
 # the submodule-level closure
 # ---------------------------------------------------------------------------
 
+def _member_defects(lat: SubmoduleLattice, x: Submodule, rule_id: str,
+                    guards: Guards) -> tuple[WitnessRecord, ...]:
+    """`def_c4` on the lattice member x's own module, with no scan when
+    the rule calls summand images valid and x is semisimple: S(x) lies in
+    S(soc M), and every submodule of x is then a summand of x."""
+    if get_rule(rule_id).summand_image_valid and not lat.bits_of(x.basis) & ~lat.socle_bits():
+        return ()
+    return def_c4(x.as_module(), rule_id, guards)
+
+
 def def_c4star(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
                guards: Guards = DEFAULT_GUARDS) -> tuple:
     """Pairs (X, witness) over every lattice member X failing the rule."""
     def scan():
         lat = all_submodules(m, guards.max_lattice_vectors)
         return tuple((sub, rec) for sub in lat.members
-                     for rec in def_c4(sub.as_module(), rule_id, guards))
+                     for rec in _member_defects(lat, sub, rule_id, guards))
     # scan() checks every member's guards, so the answer is per Guards
     return memo(m._cache, ("def_c4star", rule_id, guards), scan)
 
@@ -402,12 +425,16 @@ def _lattice_obstructions(lat: SubmoduleLattice, top: int, summand_bits: list[in
 def _start_is_swcs(lat: SubmoduleLattice, x: Submodule, guards: Guards) -> bool:
     """Whether the chain start x, a member of M's lattice lat, is swCS
     under the submodule reading, read off lat (see `check_extended`)."""
+    top = lat.bits_of(x.basis)
+    if not top & ~lat.socle_bits():
+        return True     # each leg of a semisimple x is a summand, essential in itself
+
     def search():
         summands = summand_list(x.as_module(), guards.max_end_enumeration)
         # X's summands, lifted into M, are members too
         lifted = [lat.bits_of(linalg.row_space(x.to_parent(a.basis), x.parent.p))
                   for a in summands]
-        return not _lattice_obstructions(lat, lat.bits_of(x.basis), lifted, guards)
+        return not _lattice_obstructions(lat, top, lifted, guards)
     return memo(lat.parent._cache, ("start swcs", x.key(), guards), search)
 
 
@@ -543,10 +570,15 @@ def check_extended(m: RightModule, arity: int = 2, depth: int = 1,
     M as members.  Every unrealized disjoint pair still goes through
     `iso_test`.  Its legs lie below X, so each is a chain start before X
     whose own End scan has passed under these guards: testing the legs as
-    members of M raises nothing that testing them inside X would."""
+    members of M raises nothing that testing them inside X would.
+
+    A semisimple start (S(X) inside S(soc M)) is swCS, and under a rule
+    that calls summand images valid it is C4, with no scan: its End and
+    hom-scan guards are then not checked, so a start over a guard's bound
+    leaves the cell partial only when it is not semisimple."""
     lat = all_submodules(m, guards.max_lattice_vectors)
     starts = _chain_starts(lat, depth, strict)
-    c4star_d = all(is_c4(x.as_module(), rule_id, guards) for x in starts)
+    c4star_d = all(not _member_defects(lat, x, rule_id, guards) for x in starts)
     # is_c4_m validates the arity and the rule; C4[m] is C4, so C4star_m_d is C4star_d
     c4_m = is_c4_m(m, arity, rule_id, guards)
     swcs_d = all(_start_is_swcs(lat, x, guards) for x in starts)
@@ -705,7 +737,7 @@ def build_defect_report(m: RightModule, module_id: str | None = None,
     if ring_mode:
         def run_scan():
             lat = all_submodules(m, guards.max_lattice_vectors)
-            verdicts = [(sub.dim, is_c4(sub.as_module(), rule_id, guards))
+            verdicts = [(sub.dim, not _member_defects(lat, sub, rule_id, guards))
                         for sub in lat.members]
             return {
                 "right_ideals": len(verdicts),

@@ -232,6 +232,26 @@ def test_morita_rejects_bad_conditions_before_computing(
 
 
 @pytest.mark.parametrize("args, message", [
+    (["--corner", "1,0,0"], "--corner: expected 2 coordinates, got 3"),
+    (["--corner", "1,1"], "--corner: '1,1' is not an idempotent"),
+    (["--corner", "0,0"], "--corner: idempotent '0,0' is not full: "
+                          "span ReR has dimension 0 < 2"),
+    (["--matrix", "0"], "--matrix: the rank must be >= 1, got 0"),
+    (["--matrix", "-1"], "--matrix: the rank must be >= 1, got -1"),
+])
+def test_morita_rejects_a_bad_realization_before_computing(
+        runner, mixed_module_file, monkeypatch, args, message):
+    from c4lab import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the realization must be validated before any check runs")
+    monkeypatch.setattr(cli, "morita_pair_check", never)
+    result = runner.invoke(main, ["morita", mixed_module_file, *args])
+    assert result.exit_code == 2
+    assert result.output == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
     (["--matrix", "2", "--conditions", ","], "--conditions: no condition given"),
     (["--matrix", "2", "--conditions", ""], "--conditions: no condition given"),
     (["--corner", "x"], "--corner: expected an index or comma-separated integer "

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -582,8 +584,10 @@ def test_chain_start_swcs_read_off_the_lattice_equals_a_fresh_search():
 def test_a_tight_end_bound_leaves_the_chain_start_swcs_scan_partial():
     """T3(1, 2, 2) with arrows [1 1] and diag(1, 0) is not C4* at depth 1, so
     the C4 scan of the chain starts stops early; the swCS scan goes on to a
-    3-dimensional start whose End scan needs 2^5 candidates, and names it
-    as a search on the start's own module does."""
+    4-dimensional start whose End scan needs 2^5 candidates, and names it
+    as a search on the start's own module does.  The 3-dimensional start
+    before it also needs 2^5, but it is semisimple, so its flag is read
+    off the lattice with no End scan; a bound of 2^5 answers exactly."""
     from c4lab.algebra import upper_triangular_algebra
     from c4lab.guards import Guards
     from test_modules import path_module
@@ -596,4 +600,130 @@ def test_a_tight_end_bound_leaves_the_chain_start_swcs_scan_partial():
     assert (cell["C4star_d"], cell["swcs_depth_d"]) == (False, True)
     with pytest.raises(GuardExceeded) as exc:
         check_extended(module(), 2, 1, guards=Guards(max_end_enumeration=16))
-    assert str(exc.value) == "endomorphism scan of T3(1, 2, 2)|sub3: needs 32 > bound 16"
+    assert str(exc.value) == "endomorphism scan of T3(1, 2, 2)|sub4: needs 32 > bound 16"
+    assert check_extended(module(), 2, 1, guards=Guards(max_end_enumeration=32)) == cell
+
+
+# ---------------------------------------------------------------------------
+# semisimple members decided by their bits; C4 from its definition
+# ---------------------------------------------------------------------------
+
+def test_members_the_bits_call_semisimple_pass_every_full_scan():
+    """On every member X of every corpus module, tiny path module and
+    F_p<x, y>/(x, y)^2 regular module, the bit test S(X) ⊆ S(soc M) is X's
+    own semisimplicity, and where it holds the full scans find nothing:
+    no C4 defect, no obstruction pair, and the chain-start flag is swCS.
+    `def_c4star`, which skips those members, lists exactly the defects of
+    `def_c4` on every member's own module."""
+    from c4lab.conditions import _start_is_swcs
+    from c4lab.guards import DEFAULT_GUARDS
+    from c4lab.modules import all_submodules, is_semisimple
+    from test_modules import bitset_oracle_modules
+
+    def keys(x, rec):
+        return (x.key(), rec.decomposition.a.key(), rec.decomposition.b.key(),
+                rec.kernel.key(), rec.image.key())
+
+    semisimple = 0
+    for m in bitset_oracle_modules():
+        lat = all_submodules(m)
+        for x, bits in zip(lat.members, lat.bits):
+            mod = x.as_module()
+            by_bits = not bits & ~lat.socle_bits()
+            assert by_bits == is_semisimple(mod), (m.name, x.dim)
+            if by_bits:
+                assert def_c4(mod) == () and obs_swcs(mod) == (), (m.name, x.dim)
+                assert _start_is_swcs(lat, x, DEFAULT_GUARDS), (m.name, x.dim)
+                semisimple += 1
+        full = [keys(x, rec) for x in lat.members for rec in def_c4(x.as_module())]
+        assert [keys(x, rec) for x, rec in def_c4star(m)] == full, m.name
+    assert semisimple > 1000
+
+
+def test_a_rule_that_does_not_call_summand_images_valid_scans_every_member(ms, plane, k_alg):
+    """Only a rule that declares `summand_image_valid` lets `def_c4star`
+    and `check_extended` skip semisimple members: under one that calls
+    every datum a defect they list and count the defects of `def_c4` on
+    every member's own module, semisimple members included."""
+    from c4lab.modules import all_submodules, is_semisimple
+
+    rule_id = registered(EVERY_DATUM, every_datum_a_defect)
+    semisimple_defects = 0
+    for m in (ms, plane, regular_module(k_alg)):
+        members = all_submodules(m).members
+        full = [(x, rec) for x in members for rec in def_c4(x.as_module(), rule_id)]
+        assert def_c4star(m, rule_id) == tuple(full), m.name
+        assert check_extended(m, 2, 0, False, rule_id)["C4star_d"] == (not full), m.name
+        semisimple_defects += sum(is_semisimple(x.as_module()) for x, _ in full)
+    assert semisimple_defects > 0
+
+
+def _own_module(m, basis):
+    """The submodule of m with this RREF basis as a module in that basis:
+    a vector's coordinates are its entries at the pivot columns."""
+    piv = [np.flatnonzero(row)[0] for row in basis]
+    action = np.stack([(basis @ m.action[j] % m.p)[:, piv] for j in range(m.ring.dim)])
+    return RightModule(m.ring, action, validate=False)
+
+
+def definitional_c4_defects(m):
+    """C4 from its definition, over the brute-force lattice: every ordered
+    pair (A, B) of members with A ∩ B = 0 and A + B = M, and every
+    f: A -> B from a brute-force hom scan; f is a defect when it is
+    injective and no member is a complement of im f.  Returns the ordered
+    complementary pairs and the sorted (A, B, ker f, im f) keys."""
+    from c4lab import linalg
+    from test_modules import brute_force_homs, brute_force_lattice
+
+    p, n = m.p, m.dim
+    members = [np.frombuffer(key, dtype=np.int64).reshape(len(key) // 8 // max(n, 1), n)
+               for key in brute_force_lattice(m)]
+
+    def complementary(x, y):
+        return x.shape[0] + y.shape[0] == n and linalg.rank(np.concatenate([x, y]), p) == n
+
+    own = [_own_module(m, x) for x in members]
+    pairs, defects, summand = [], [], {}
+    for (a, a_mod), (b, b_mod) in itertools.product(zip(members, own), repeat=2):
+        if not complementary(a, b):
+            continue
+        pairs.append((a.tobytes(), b.tobytes()))
+        _, span = brute_force_homs(a_mod, b_mod)
+        k, da, db = span.shape
+        coeffs = np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64)
+        maps = (coeffs.reshape(p ** k, k) @ span.reshape(k, da * db) % p).reshape(p ** k, da, db)
+        # f is injective iff only the zero vector of A maps to zero
+        vectors = np.array(list(itertools.product(range(p), repeat=da)), dtype=np.int64)
+        zero_rows = np.all(np.einsum("va,fab->fvb", vectors.reshape(p ** da, da), maps) % p == 0,
+                           axis=2)
+        for f in maps[zero_rows.sum(axis=1) == 1]:
+            image = linalg.row_space(f @ b % p, p)
+            key = image.tobytes()
+            if key not in summand:
+                summand[key] = any(complementary(image, c) for c in members)
+            if not summand[key]:
+                defects.append((a.tobytes(), b.tobytes(), b"", key))
+    return pairs, sorted(defects)
+
+
+def test_c4_defects_match_the_definition_at_tiny_sizes():
+    """`def_c4` and its End scan against `definitional_c4_defects`, which
+    uses no End scan, hom solve, `is_summand`, batched rank or lattice
+    bits, only GF(p) ranks: the decompositions are exactly the ordered
+    complementary pairs of members, and the defect witnesses, as
+    (A, B, ker f, im f) canonical bases, are the same multiset."""
+    from test_modules import bitset_oracle_modules
+
+    defects = 0
+    for m in bitset_oracle_modules():
+        if m.p ** m.dim > 2 ** 6:
+            continue
+        pairs, want = definitional_c4_defects(m)
+        decs = enumerate_decompositions(m)
+        assert len(decs) == len(pairs), m.name
+        assert sorted((d.a.key(), d.b.key()) for d in decs) == sorted(pairs), m.name
+        got = sorted((r.decomposition.a.key(), r.decomposition.b.key(), r.kernel.key(),
+                      r.image.key()) for r in def_c4(m))
+        assert got == want, m.name
+        defects += len(want)
+    assert defects >= 40

@@ -296,9 +296,17 @@ def tiny_modules(p):
 def test_hom_space_matches_a_brute_force_scan_at_tiny_sizes(p):
     mods = tiny_modules(p)
     zero = RightModule(mods[0].ring, np.zeros((mods[0].ring.dim, 0, 0), dtype=np.int64), name="0")
+    assert assert_homs_match_brute_force(mods + [zero]) > 50
+
+
+def assert_homs_match_brute_force(mods):
+    """`hom_space_matrices` against `brute_force_homs` on every ordered pair
+    of modules over one ring with at most 2^12 candidate maps; returns the
+    number of pairs checked."""
     pairs = 0
-    for m in mods + [zero]:
-        for n in mods + [zero]:
+    for m in mods:
+        for n in mods:
+            p = m.p
             if m.ring is not n.ring or p ** (m.dim * n.dim) > 2 ** 12:
                 continue
             count, span = brute_force_homs(m, n)
@@ -306,7 +314,7 @@ def test_hom_space_matches_a_brute_force_scan_at_tiny_sizes(p):
             assert count == p ** got.shape[0], (m.name, n.name)
             assert_same_homs(got, span)
             pairs += 1
-    assert pairs > 50
+    return pairs
 
 
 def test_hom_space_of_the_zero_module(reg, r2):
@@ -726,3 +734,15 @@ def test_socle_length_and_summands_of_generated_path_modules(m):
 @given(path_modules())
 def test_defect_classes_of_generated_path_modules_correspond_under_transport(m):
     assert defect_bijection_check(build_progenerator(m.ring, ("matrix", 2)), m)["ok"]
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(path_modules())
+def test_hom_spaces_of_generated_path_modules_match_both_oracles(m):
+    """The brute-force scan and the commutation solve on the lattice
+    members of a generated path module, pairwise."""
+    mods = distinct_members([m])
+    assert assert_homs_match_brute_force(mods) > 0
+    for a in mods:
+        for b in mods:
+            assert_same_homs(hom_space_matrices(a, b), commutation_solve(a, b))
