@@ -470,8 +470,9 @@ def jacobson_radical(a: FiniteAlgebra, guard: int = 2 ** 20) -> IdealBasis:
     """Basis of J(A) = {x : 1 - x*r is a unit for all r}.
 
     Constructor-derived algebras answer from their propagated radical;
-    otherwise the quasi-regularity test runs exhaustively over all
-    p^dim elements (guarded).
+    otherwise the quasi-regularity test runs over all p^dim elements.
+    The guard counts those elements, but each non-unit is multiplied by
+    every element: up to p^(2 dim) products, 2^40 at the default 2^20.
     """
     scan = a._known_radical is None
     return memo(a._cache, "radical", lambda: _radical(a, guard),

@@ -27,12 +27,13 @@ read off the parent's lattice (`check_extended`).  `def_c4star`,
 `obs_swcs` and the chain-start flags check guards inside their
 computations, so their caches are keyed by the Guards.
 
-A semisimple lattice member or chain start is decided by its bits with
-no scan: all its submodules are summands, so it is swCS, and C4 under a
-rule that declares `summand_image_valid`.  A guard bounds work that
-runs, so the skipped scans' guards are not checked, and a tight-guard run
-can be exact where a full scan would be partial, never the reverse.  The
-top-level module always gets the full scan.
+A semisimple module is decided with no scan: all its submodules are
+summands, so it is swCS, and C4 under a rule that declares
+`summand_image_valid`.  Lattice members and chain starts are tested by
+their bits, a top-level module by its socle (`_socle_decides`).  A guard
+bounds work that runs, so the skipped scans' guards are not checked, and
+a tight-guard run can be exact where a full scan would be partial, never
+the reverse.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ class WitnessRule:
     summand_image_valid is another: evaluate calls every datum whose image
     is a direct summand of the parent valid.  In a semisimple module every
     submodule is a summand, so such a rule finds no defect there, and
-    lattice members the bits call semisimple are not scanned.
+    semisimple lattice members and modules are not scanned.
     """
 
     rule_id: str
@@ -254,9 +255,23 @@ def evaluate_witness(m: RightModule, dec: Decomposition, f: ModuleHom,
     return WitnessRecord(dec, f, kernel, image, rule_id, verdict, detail)
 
 
+def _socle_decides(m: RightModule, guards: Guards) -> bool:
+    """Whether m is semisimple, asked only when p^dim M is within the
+    lattice bound, where `def_c4star` and `obs_swcs` read m's socle anyway:
+    for a ring with no known radical the socle costs a p^(2 dim R) element
+    scan.  A radical over its own guard leaves m to the full scan."""
+    try:
+        return m.p ** m.dim <= guards.max_lattice_vectors and is_semisimple(m)
+    except GuardExceeded:
+        return False
+
+
 def def_c4(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
            guards: Guards = DEFAULT_GUARDS) -> tuple[WitnessRecord, ...]:
-    """All defect witnesses, over every (decomposition, morphism) pair."""
+    """All defect witnesses, over every (decomposition, morphism) pair;
+    none, with no scan, for a semisimple m under a summand_image_valid rule."""
+    if get_rule(rule_id).summand_image_valid and _socle_decides(m, guards):
+        return ()
     decs = enumerate_decompositions(m, guards.max_end_enumeration)
     for dec in decs:
         homs = hom_space_matrices(dec.a.as_module(), dec.b.as_module())
@@ -370,6 +385,8 @@ def obs_swcs(m: RightModule, reading: str = "submodule",
 
 def _obstruction_pairs(m: RightModule, reading: str,
                        guards: Guards) -> tuple[ObstructionPair, ...]:
+    if _socle_decides(m, guards):
+        return ()       # each candidate of a semisimple m is a summand, essential in itself
     summands = summand_list(m, guards.max_end_enumeration)
     if reading == "literal-summand":
         # no lattice: the candidates are the semisimple summands themselves

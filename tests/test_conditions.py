@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from c4lab.algebra import field_algebra, poly_quotient_algebra
 from c4lab.conditions import (
@@ -36,6 +37,7 @@ from c4lab.modules import (
     regular_module,
     submodule_span,
 )
+from test_modules import path_modules
 
 
 @pytest.fixture(scope="module")
@@ -727,3 +729,254 @@ def test_c4_defects_match_the_definition_at_tiny_sizes():
         assert got == want, m.name
         defects += len(want)
     assert defects >= 40
+
+
+# ---------------------------------------------------------------------------
+# semisimple modules decided by the socle; swCS from its definition
+# ---------------------------------------------------------------------------
+
+def _vector_sets(m, bases):
+    """Each subspace, given by its RREF basis, as the bit set of the codes
+    of its vectors (a vector v has the code sum v_i p^i; 0 is bit 1)."""
+    p, n = m.p, m.dim
+    weights = p ** np.arange(n, dtype=np.int64)
+    sets = []
+    for b in bases:
+        k = b.shape[0]
+        coeffs = np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64)
+        codes = (coeffs.reshape(p ** k, k) @ b % p) @ weights
+        sets.append(sum(1 << int(c) for c in set(codes.tolist())))
+    return sets
+
+
+def _has_invertible_hom(x, y):
+    """Whether some brute-force hom x -> y between equal dimensions is
+    invertible: only the zero vector of x maps to zero."""
+    from test_modules import brute_force_homs
+
+    p, d = x.p, x.dim
+    if d != y.dim:
+        return False
+    _, span = brute_force_homs(x, y)
+    k = span.shape[0]
+    coeffs = np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64)
+    maps = (coeffs.reshape(p ** k, k) @ span.reshape(k, d * d) % p).reshape(p ** k, d, d)
+    vectors = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
+    zero_rows = np.all(np.einsum("va,fab->fvb", vectors.reshape(p ** d, d), maps) % p == 0,
+                       axis=2)
+    return bool(np.any(zero_rows.sum(axis=1) == 1))
+
+
+def definitional_obstructions(m):
+    """swCS under the submodule reading from its definition, over the
+    brute-force lattice, each member taken as the set of its vectors.  A
+    member is simple when it is nonzero with no nonzero member strictly
+    inside, semisimple when the simple members inside it span it, and a
+    summand when some member is a complement.  X is essential in A when
+    X <= A and every nonzero member inside A meets X.  A pair of nonzero,
+    disjoint, semisimple members isomorphic by a brute-force invertible
+    hom is an obstruction unless each leg is essential in some summand;
+    it is minimal when no other obstruction sits leg by leg inside it,
+    and a leg's length is the longest chain of members below it.  Returns
+    the sorted ((key, length), (key, length), minimal) triples."""
+    from c4lab import linalg
+    from test_modules import brute_force_lattice
+
+    p, n = m.p, m.dim
+    bases = [np.frombuffer(key, dtype=np.int64).reshape(len(key) // 8 // max(n, 1), n)
+             for key in brute_force_lattice(m)]
+    sets = _vector_sets(m, bases)
+    dims = [b.shape[0] for b in bases]
+    idx = range(len(bases))
+
+    def inside(x, y):
+        return not sets[x] & ~sets[y]
+
+    below = [[j for j in idx if j != i and inside(j, i)] for i in idx]
+    simple = [dims[i] > 0 and all(dims[j] == 0 for j in below[i]) for i in idx]
+
+    def spanned_by_simples(i):
+        inside = [bases[j] for j in below[i] + [i] if simple[j]]
+        return bool(inside) and linalg.rank(np.concatenate(inside), p) == dims[i]
+
+    semisimple = [spanned_by_simples(i) for i in idx]
+    summands = [a for a in idx if any(sets[a] & sets[c] == 1 and dims[a] + dims[c] == n
+                                      for c in idx)]
+    length = [0] * len(bases)
+    for i in idx:      # members come in increasing dimension
+        length[i] = max((length[j] + 1 for j in below[i]), default=0)
+
+    def essential(x, a):
+        return inside(x, a) and all(sets[z] & sets[x] != 1 for z in below[a] if dims[z])
+
+    legs = [i for i in idx if dims[i] and semisimple[i]]
+    hull = {i: any(essential(i, a) for a in summands) for i in legs}
+    own = {i: _own_module(m, bases[i]) for i in legs}
+    found = [(i, j) for i, j in itertools.combinations(legs, 2)
+             if sets[i] & sets[j] == 1 and not (hull[i] and hull[j])
+             and _has_invertible_hom(own[i], own[j])]
+    out = []
+    for i, j in found:
+        minimal = not any(inside(i2, i) and inside(j2, j) or inside(j2, i) and inside(i2, j)
+                          for i2, j2 in found if (i2, j2) != (i, j))
+        out.append((*sorted([(bases[i].tobytes(), length[i]), (bases[j].tobytes(), length[j])]),
+                    minimal))
+    return sorted(out)
+
+
+def assert_obstructions_match_the_definition(m):
+    """`obs_swcs` and `obstruction_index` on a fresh copy of m against
+    `definitional_obstructions`; returns the number of pairs."""
+    want = definitional_obstructions(m)
+    m = fresh(m)
+    got = sorted((*sorted([(pair.x.key(), pair.lengths[0]), (pair.y.key(), pair.lengths[1])]),
+                  pair.minimal) for pair in obs_swcs(m))
+    assert got == want, m.name
+    assert obstruction_index(m) == min((leg[1] for leg, _, _ in want), default=INFINITY)
+    return len(want)
+
+
+def test_swcs_obstructions_match_the_definition_at_tiny_sizes():
+    """On every tiny oracle module, the regular modules R of
+    F_p<x, y>/(x, y)^2 for p = 2, 3 and R + R for p = 2 (whose socle S^4
+    has obstruction pairs of lengths 1 and 2, most of them not minimal),
+    `obs_swcs` lists exactly the obstruction pairs of the definition, with
+    their minimality and lengths, and so the obstruction index.  The
+    oracle uses no End scan, socle, `is_summand`, `iso_test` or lattice
+    bits."""
+    from test_modules import tiny_oracle_modules
+
+    regs = {p: regular_module(local_square_zero_algebra(p, 2)) for p in (2, 3)}
+    modules = tiny_oracle_modules() + list(regs.values()) + \
+        [direct_sum(regs[2], regs[2], name="R+R")[0]]
+    counts = []
+    for m in modules:
+        assert m.p ** m.dim <= 2 ** 6
+        counts.append(assert_obstructions_match_the_definition(m))
+    assert sum(counts) > 390 and sum(c > 0 for c in counts) >= 3
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(path_modules())
+def test_swcs_obstructions_of_generated_path_modules_match_the_definition(m):
+    assert_obstructions_match_the_definition(m)
+
+
+UNDECLARED = "mono-image-splits-undeclared"
+
+
+def _witness_keys(records):
+    """The sorted (A, B, ker f, im f) canonical bases of C4 witnesses."""
+    return sorted((r.decomposition.a.key(), r.decomposition.b.key(), r.kernel.key(),
+                   r.image.key()) for r in records)
+
+
+def assert_the_socle_shortcut_agrees_with_the_full_scan(m):
+    """`def_c4` under the default rule, which answers a semisimple module
+    from its socle, against a copy of that rule that does not declare
+    `summand_image_valid` and so scans every module in full: the same
+    witnesses on every module.  On a semisimple module both find none,
+    as do `definitional_c4_defects` at p^dim M <= 2^6, `obs_swcs` and
+    the full obstruction search.  Returns whether m is semisimple."""
+    from c4lab.conditions import DEFAULT_RULE_ID, _lattice_obstructions
+    from c4lab.guards import DEFAULT_GUARDS
+    from c4lab.modules import all_submodules, is_semisimple
+
+    rule_id = registered(UNDECLARED, get_rule(DEFAULT_RULE_ID).evaluate, injective_only=True)
+    assert not get_rule(rule_id).summand_image_valid
+    m = fresh(m)
+    shortcut, full = def_c4(m), def_c4(m, rule_id)
+    assert _witness_keys(shortcut) == _witness_keys(full), m.name
+    if not is_semisimple(m):
+        return False
+    assert shortcut == () and full == () and obs_swcs(m) == (), m.name
+    lat = all_submodules(m)
+    summand_bits = [lat.bits_of(a.basis) for a in summand_list(m)]
+    assert _lattice_obstructions(lat, lat.bits[-1], summand_bits, DEFAULT_GUARDS) == []
+    if m.p ** m.dim <= 2 ** 6:
+        assert definitional_c4_defects(m)[1] == [], m.name
+    return True
+
+
+def test_the_socle_shortcut_agrees_with_the_full_scan():
+    from c4lab.corpus import corpus_builtin
+    from test_modules import tiny_oracle_modules
+
+    modules = [e.module for e in corpus_builtin()] + tiny_oracle_modules()
+    semisimple = sum(assert_the_socle_shortcut_agrees_with_the_full_scan(m) for m in modules)
+    assert 10 <= semisimple < len(modules)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(path_modules())
+def test_the_socle_shortcut_agrees_with_the_full_scan_on_generated_path_modules(m):
+    assert_the_socle_shortcut_agrees_with_the_full_scan(m)
+
+
+def _raw_spec(ring, name):
+    """A constructor-built ring as a raw structure-constant spec, which
+    the parser reads with no known radical."""
+    mul = [[i, j, ring.sc[i, j].tolist()] for i in range(ring.dim) for j in range(ring.dim)
+           if ring.sc[i, j].any()]
+    return {"name": name, "p": ring.p, "dim": ring.dim, "one": ring.one.tolist(), "mul": mul}
+
+
+def test_a_ring_scan_report_never_asks_a_parsed_ring_for_its_radical(monkeypatch):
+    """A parsed M_2(R) of dimension 12 or 16 has no known radical, so its
+    radical would be an element scan of p^(2 dim R) products.  Under the
+    ring-scan guards its regular module is over the lattice bound, so no
+    section asks for its socle, semisimple or not: the radical is never
+    called and every section goes partial on the End scan or the lattice."""
+    import json
+    import os
+    from c4lab import algebra, modules
+    from c4lab.algebra import matrix_algebra
+    from c4lab.conditions import build_defect_report
+    from c4lab.guards import Guards
+    from c4lab.io import parse_ring
+
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "ring_scan_guards.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        guards = Guards.from_dict(json.load(fh))
+    calls = []
+
+    def refuse(ring, *args, **kwargs):
+        calls.append(ring.name)
+        raise AssertionError(f"the radical of {ring.name} was asked for")
+
+    specs = [_raw_spec(matrix_algebra(base, 2), name) for name, base in (
+        ("M2(F2[x]/(x^3))", poly_quotient_algebra(2, [0, 0, 0, 1])),
+        ("M2(M2(F2))", matrix_algebra(field_algebra(2), 2)))]
+    monkeypatch.setattr(algebra, "jacobson_radical", refuse)
+    monkeypatch.setattr(modules, "jacobson_radical", refuse)
+    for spec, total in zip(specs, (2 ** 12, 2 ** 16)):
+        ring = parse_ring(spec)
+        name = ring.name
+        assert ring._known_radical is None and ring.p ** ring.dim == total
+        report = build_defect_report(regular_module(ring), guards=guards, ring_mode=True)
+        end = f"endomorphism scan of {name}_reg: needs {total} > bound 1024"
+        lattice = f"submodule lattice of {name}_reg: needs {total} > bound 1024"
+        assert report.partial == {"def_c4": end, "def_c4star": lattice, "obs_swcs": end,
+                                  "extension(2,1)": lattice, "ring_scan": lattice}
+    assert calls == []
+
+
+def test_a_radical_over_its_guard_leaves_c4_to_the_full_scan(monkeypatch):
+    """The C4 scan needs no radical.  So when the ring's radical is over
+    its own guard, `def_c4` does not go partial on the socle test: it
+    scans in full and lists the same witnesses as with the radical."""
+    from c4lab import modules
+    from c4lab.corpus import corpus_builtin
+
+    corpus = [e.module for e in corpus_builtin()]
+    want = [_witness_keys(def_c4(fresh(m))) for m in corpus]
+    semisimple = [modules.is_semisimple(fresh(m)) for m in corpus]
+
+    def over_guard(ring, *args, **kwargs):
+        raise GuardExceeded(f"element enumeration of {ring.name}", 2 ** 21, 2 ** 20)
+
+    monkeypatch.setattr(modules, "jacobson_radical", over_guard)
+    with pytest.raises(GuardExceeded):
+        modules.is_semisimple(fresh(corpus[0]))
+    assert [_witness_keys(def_c4(fresh(m))) for m in corpus] == want
+    assert any(semisimple) and not all(semisimple)
