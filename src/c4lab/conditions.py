@@ -9,8 +9,11 @@ semisimple-pair essentiality condition with its obstruction pairs and
 index, the combined strong condition with its decomposition search, and
 the arity/depth extensions.
 
-The unit of the C4 scan is one decomposition's list of defect
-witnesses, cached per summand pair: `def_c4` concatenates them.  A rule
+The End scan echelonizes a block of idempotents at a time, with one
+`linalg.row_spaces` call for their images and one for their kernels, the
+images of 1 - e.  The unit of the C4 scan is one decomposition's list of
+defect witnesses, cached per summand pair: `def_c4` concatenates them,
+echelonizing the images of a block of maps in one call too.  A rule
 declared `injective_only` (the default one is) calls every non-injective
 datum valid, so for it the scan drops each block's non-injective maps
 with one batched rank before evaluating any map; other rules see every
@@ -41,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -74,19 +77,23 @@ INFINITY = math.inf
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Internal direct-sum decomposition M = A + B with its projection."""
+    """Internal direct-sum decomposition M = A + B with its projection.
+    validate=False checks nothing and needs an idempotent e with the canonical
+    bases of a = im e and b = ker e = im(1 - e), as `_end_scan` builds it."""
 
     parent: RightModule
     a: Submodule
     b: Submodule
     idempotent: ModuleHom
+    validate: InitVar[bool] = True
 
-    def __post_init__(self):
-        p = self.parent.p
-        inter = linalg.intersect_rows(self.a.basis, self.b.basis, p)
-        if inter.shape[0] or self.a.dim + self.b.dim != self.parent.dim:
+    def __post_init__(self, validate):
+        if not validate:
+            return
+        p, e = self.parent.p, self.idempotent.matrix
+        if (linalg.intersect_rows(self.a.basis, self.b.basis, p).shape[0]
+                or self.a.dim + self.b.dim != self.parent.dim):
             raise ValueError("summands are not complementary")
-        e = self.idempotent.matrix
         if not np.array_equal(linalg.matmul_mod(e, e, p), e):
             raise ValueError("projection is not idempotent")
 
@@ -103,28 +110,25 @@ def enumerate_decompositions(
 
 
 def _end_scan(m: RightModule, homs: np.ndarray, total: int) -> tuple[Decomposition, ...]:
-    k = homs.shape[0]
-    out = []
     if m.dim == 0:
         zero = m.zero_submodule()
-        out.append(Decomposition(m, zero, zero,
-                                 ModuleHom(m, m, linalg.zeros(0, 0), check=False)))
-        return tuple(out)
+        return (Decomposition(m, zero, zero, ModuleHom(m, m, linalg.zeros(0, 0), check=False)),)
+    k = homs.shape[0]
+    out = []
     for block in linalg.coeff_blocks(total, k, m.p):
         cands = linalg.combine(block, homs, m.p)
-        sq = linalg.matmul_mod(cands, cands, m.p)
-        mask = np.all(sq == cands, axis=(1, 2))
-        for t in np.nonzero(mask)[0]:
-            e = cands[t]
-            # the kernel of e is the image of the idempotent 1 - e
-            out.append(Decomposition(m, _carrier(m, linalg.row_space(e, m.p)),
-                                     _carrier(m, linalg.left_nullspace(e, m.p)),
-                                     ModuleHom(m, m, e, check=False)))
+        es = cands[np.all(linalg.matmul_mod(cands, cands, m.p) == cands, axis=(1, 2))]
+        images = linalg.row_spaces(es, m.p)
+        kernels = linalg.row_spaces((linalg.eye(m.dim) - es) % m.p, m.p)  # ker e = im(1 - e)
+        out.extend(Decomposition(m, _carrier(m, a), _carrier(m, b),
+                                 ModuleHom(m, m, e, check=False), validate=False)
+                   for e, a, b in zip(es, images, kernels))
     return tuple(out)
 
 
 def _carrier(m: RightModule, basis: np.ndarray) -> Submodule:
-    """The one Submodule of m with this canonical (RREF) basis.
+    """The one Submodule of m with this canonical (RREF) basis, the
+    `row_space(s)` or `left_nullspace` output of a module map's image or kernel.
 
     Sharing the object across decompositions and witnesses shares what
     it caches: its membership test, its socle and the solve for its
@@ -133,7 +137,7 @@ def _carrier(m: RightModule, basis: np.ndarray) -> Submodule:
     unequal bases but equal actions share that module's hom spaces and
     fingerprint too."""
     return memo(m._cache, ("carrier", basis.tobytes()),
-                lambda: Submodule(m, basis, check=False))
+                lambda: Submodule._canonical(m, basis))
 
 
 def summand_list(
@@ -244,15 +248,25 @@ def evaluate_witness(m: RightModule, dec: Decomposition, f: ModuleHom,
         raise ValueError("decomposition does not belong to the module")
     if f.source is not dec.a.as_module() or f.target is not dec.b.as_module():
         raise ValueError("morphism endpoints do not match the decomposition")
+    return next(_evaluate_maps(m, dec, f.matrix[None], rule_id))
+
+
+def _evaluate_maps(m: RightModule, dec: Decomposition, mats: np.ndarray, rule_id: str):
+    """The WitnessRecords of the maps A -> B of an (n, dim A, dim B) stack, in
+    order, with all n images echelonized in one `row_spaces` call."""
     rule = get_rule(rule_id)
-    # B's basis rows are independent, so dim im f = rank f, and an
-    # injective f has the zero kernel with no nullspace to compute
-    image = _carrier(m, linalg.row_space(dec.b.to_parent(f.matrix), m.p))
-    kernel_rows = (linalg.zeros(0, m.dim) if image.dim == dec.a.dim
-                   else dec.a.to_parent(linalg.left_nullspace(f.matrix, m.p)))
-    kernel = _carrier(m, linalg.row_space(kernel_rows, m.p))
-    verdict, detail = rule.evaluate(m, dec, f, kernel, image)
-    return WitnessRecord(dec, f, kernel, image, rule_id, verdict, detail)
+    a_mod, b_mod = dec.a.as_module(), dec.b.as_module()
+    images = linalg.row_spaces(linalg.matmul_mod(mats, dec.b.basis, m.p), m.p)
+    zero = _carrier(m, linalg.zeros(0, m.dim))
+    for mat, basis in zip(mats, images):
+        f = ModuleHom(a_mod, b_mod, mat, check=False)
+        # B's basis rows are independent, so dim im f = rank f, and an
+        # injective f has the zero kernel with no nullspace to compute
+        kernel = zero if basis.shape[0] == dec.a.dim else _carrier(m, linalg.row_space(
+            dec.a.to_parent(linalg.left_nullspace(f.matrix, m.p)), m.p))
+        image = _carrier(m, basis)
+        yield WitnessRecord(dec, f, kernel, image, rule_id,
+                            *rule.evaluate(m, dec, f, kernel, image))
 
 
 def _socle_decides(m: RightModule, guards: Guards) -> bool:
@@ -299,11 +313,8 @@ def _dec_defects(m: RightModule, dec: Decomposition,
             mats = linalg.combine(block, homs, m.p)
             if injective_only:
                 mats = mats[linalg.batch_rank(mats, m.p) == dec.a.dim]
-            for mat in mats:
-                f = ModuleHom(a_mod, b_mod, mat, check=False)
-                rec = evaluate_witness(m, dec, f, rule_id)
-                if rec.verdict == "defect":
-                    defects.append(rec)
+            defects.extend(rec for rec in _evaluate_maps(m, dec, mats, rule_id)
+                           if rec.verdict == "defect")
         return tuple(defects)
     return memo(m._cache, ("defects", rule_id, dec.a.key(), dec.b.key()), scan)
 

@@ -46,10 +46,11 @@ Kernels:
 * ``batch_rank`` gives the ranks of a stack of matrices from one
   elimination over the whole stack (the injectivity filter of a hom
   scan).
-* ``distinct_row_spaces`` returns the distinct canonical row-space bases
-  of a stack of matrices (the cyclic submodules of a lattice scan).  Over
-  GF(2) it echelonizes each matrix on packed rows with a pivot table
-  keyed by leading bit; for p > 2 it calls ``row_space`` on each.
+* ``row_spaces`` returns the canonical row-space basis of each matrix of
+  a stack, and ``distinct_row_spaces`` the distinct ones (the cyclic
+  submodules of a lattice scan).  Over GF(2) it packs the stack once and
+  echelonizes each matrix on packed rows with a pivot table keyed by
+  leading bit; for p > 2 it calls ``row_space`` on each.
 """
 
 from __future__ import annotations
@@ -301,23 +302,18 @@ def row_space(mat, p: int) -> np.ndarray:
     return r[: len(piv)].copy()
 
 
-def distinct_row_spaces(stack, p: int) -> list[np.ndarray]:
-    """The distinct canonical (RREF) row-space bases of an (n, r, c) matrix
-    stack, in order of first occurrence.
+def row_spaces(stack, p: int) -> list[np.ndarray]:
+    """``row_space`` of each matrix of an (n, r, c) stack, in order.
 
-    Over GF(2) each matrix has a few packed rows, echelonized through a
-    pivot table keyed by leading bit and then back-substituted, with no
-    numpy call per matrix.
-    """
-    if p != 2:
-        spaces: dict[bytes, np.ndarray] = {}
-        for mat in stack:
-            basis = row_space(mat, p)
-            spaces.setdefault(basis.tobytes(), basis)
-        return list(spaces.values())
+    Over GF(2) the stack is packed once, each matrix's packed rows are
+    echelonized through a pivot table keyed by leading bit and then
+    back-substituted, and all bases are unpacked at once; for p > 2, or
+    r = 0, it calls ``row_space`` on each matrix."""
     n, r, c = np.shape(stack)
+    if p != 2 or not r:
+        return [row_space(mat, p) for mat in stack]
     packed = _pack_gf2(np.reshape(stack, (n * r, c)))
-    distinct: dict[tuple, None] = {}
+    ranks, rows = [], []
     for start in range(0, n * r, r):
         pivots: dict[int, int] = {}
         for x in packed[start:start + r]:
@@ -332,8 +328,21 @@ def distinct_row_spaces(stack, p: int) -> list[np.ndarray]:
             for above in order[:pos]:
                 if pivots[above] >> lead & 1:
                     pivots[above] ^= pivots[lead]
-        distinct.setdefault(tuple(pivots[lead] for lead in order), None)
-    return [_unpack_gf2(list(key), c) for key in distinct]
+        ranks.append(len(order))
+        rows.extend(pivots[lead] for lead in order)
+    bases = _unpack_gf2(rows, c)
+    ends = np.cumsum(ranks).tolist()
+    # copies, so that a kept basis does not hold the whole stack's array
+    return [bases[end - k:end].copy() for k, end in zip(ranks, ends)]
+
+
+def distinct_row_spaces(stack, p: int) -> list[np.ndarray]:
+    """The distinct canonical (RREF) row-space bases of an (n, r, c) matrix
+    stack, in order of first occurrence (``row_spaces``, deduplicated)."""
+    spaces: dict[bytes, np.ndarray] = {}
+    for basis in row_spaces(stack, p):
+        spaces.setdefault(basis.tobytes(), basis)
+    return list(spaces.values())
 
 
 def left_nullspace(mat, p: int) -> np.ndarray:

@@ -146,6 +146,15 @@ class Submodule:
         self.basis.setflags(write=False)
         self._cache: dict = {}
 
+    @classmethod
+    def _canonical(cls, parent: RightModule, basis: np.ndarray) -> "Submodule":
+        """The Submodule with this basis, unchecked: an int64 RREF of parent.dim columns,
+        no zero rows (``row_space``, ``left_nullspace``), spanning a submodule; callers say why."""
+        sub = cls.__new__(cls)
+        sub.parent, sub.basis, sub._cache = parent, basis, {}
+        basis.setflags(write=False)
+        return sub
+
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -256,12 +265,10 @@ class ModuleHom:
         return self.rank() == self.source.dim
 
     def kernel(self) -> Submodule:
-        return Submodule(self.source, linalg.left_nullspace(self.matrix, self.p),
-                         check=False)
+        return Submodule._canonical(self.source, linalg.left_nullspace(self.matrix, self.p))
 
     def image(self) -> Submodule:
-        return Submodule(self.target, linalg.row_space(self.matrix, self.p),
-                         check=False)
+        return Submodule._canonical(self.target, linalg.row_space(self.matrix, self.p))
 
     def inverse(self) -> "ModuleHom":
         inv = linalg.inv_mod(self.matrix, self.p)
@@ -494,7 +501,8 @@ def _lattice(m: RightModule, total: int) -> SubmoduleLattice:
                     fresh.append(ks)
         frontier = fresh
     order = sorted(bases, key=lambda key: (bases[key].shape[0], key))
-    return SubmoduleLattice(m, [Submodule(m, bases[key], check=False) for key in order],
+    # members are zero, cyclic (distinct_row_spaces) or sums (sum_rows): canonical submodules
+    return SubmoduleLattice(m, [Submodule._canonical(m, bases[key]) for key in order],
                             [bits[key] for key in order])
 
 
@@ -504,7 +512,8 @@ def radical_submodule(m: RightModule) -> Submodule:
     if rad.shape[0] == 0 or m.dim == 0:
         return m.zero_submodule()
     rows = np.concatenate([m.rho(j) for j in rad], axis=0)
-    return Submodule(m, linalg.row_space(rows, m.p), check=False)
+    # a canonical span of M * J, a submodule
+    return Submodule._canonical(m, linalg.row_space(rows, m.p))
 
 
 def socle(m: RightModule) -> Submodule:
@@ -517,7 +526,8 @@ def _socle(m: RightModule) -> Submodule:
     if rad.shape[0] == 0 or m.dim == 0:
         return m.full_submodule()
     stacked = np.concatenate([m.rho(j) for j in rad], axis=1)
-    return Submodule(m, linalg.left_nullspace(stacked, m.p), check=False)
+    # a canonical basis of the annihilator of J, a submodule
+    return Submodule._canonical(m, linalg.left_nullspace(stacked, m.p))
 
 
 def radical_series_dims(m: RightModule) -> tuple[int, ...]:
@@ -621,8 +631,8 @@ def _is_summand(n: Submodule, m: RightModule):
     if coeff is None:
         return None
     h = linalg.combine(coeff[0], homs, p)
-    complement = linalg.left_nullspace(h, p)
-    return Submodule(m, complement, check=False)
+    # a canonical basis of the kernel of the module map h
+    return Submodule._canonical(m, linalg.left_nullspace(h, p))
 
 
 # ---------------------------------------------------------------------------

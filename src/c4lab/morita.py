@@ -309,8 +309,8 @@ def transport_submodule(tr: TransportedModule, n: Submodule) -> Submodule:
         return tr.image.zero_submodule()
     cols = n.membership_cols()
     rows = linalg.matmul_mod(tr.hom_mats, cols, p).reshape(t, -1)
-    coords = linalg.left_nullspace(rows, p)
-    return Submodule(tr.image, coords, check=False)
+    # a canonical basis of F(N), which is a submodule of F(M)
+    return Submodule._canonical(tr.image, linalg.left_nullspace(rows, p))
 
 
 def transport_hom(tr_src: TransportedModule, tr_tgt: TransportedModule,

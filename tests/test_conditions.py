@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 
 import numpy as np
@@ -980,3 +981,127 @@ def test_a_radical_over_its_guard_leaves_c4_to_the_full_scan(monkeypatch):
         modules.is_semisimple(fresh(corpus[0]))
     assert [_witness_keys(def_c4(fresh(m))) for m in corpus] == want
     assert any(semisimple) and not all(semisimple)
+
+
+# ---------------------------------------------------------------------------
+# C4 from its definition on generated modules
+# ---------------------------------------------------------------------------
+
+def assert_c4_defects_match_the_definition(m):
+    """The body of `test_c4_defects_match_the_definition_at_tiny_sizes` on
+    one module; returns the number of defects."""
+    pairs, want = definitional_c4_defects(m)
+    decs = enumerate_decompositions(m)
+    assert len(decs) == len(pairs), m.name
+    assert sorted((d.a.key(), d.b.key()) for d in decs) == sorted(pairs), m.name
+    got = sorted((r.decomposition.a.key(), r.decomposition.b.key(), r.kernel.key(),
+                  r.image.key()) for r in def_c4(m))
+    assert got == want, m.name
+    return len(want)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(path_modules())
+def test_c4_defects_of_generated_path_modules_match_the_definition(m):
+    if m.p ** m.dim <= 2 ** 6:
+        assert_c4_defects_match_the_definition(m)
+
+
+# ---------------------------------------------------------------------------
+# the trusted path: what the End scan and the canonical constructor skip
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def trusted_constructions():
+    """Record every Submodule the trusted constructor builds and every
+    decomposition `_end_scan` returns while the block runs."""
+    from unittest import mock
+
+    from c4lab import conditions
+    from c4lab.modules import Submodule
+
+    subs, decs = [], []
+    canonical, end_scan = Submodule._canonical, conditions._end_scan
+
+    def recording_canonical(cls, parent, basis):
+        subs.append(canonical(parent, basis))
+        return subs[-1]
+
+    def recording_end_scan(*args):
+        out = end_scan(*args)
+        decs.extend(out)
+        return out
+
+    with mock.patch.object(Submodule, "_canonical", classmethod(recording_canonical)), \
+            mock.patch.object(conditions, "_end_scan", recording_end_scan):
+        yield subs, decs
+
+
+def assert_the_trusted_path_is_sound(subs, decs):
+    """What the trusted path skips, checked: each trusted basis is the
+    basis the public constructor gives, which eliminates and checks
+    closure under the action; each decomposition of the End scan has
+    A = im e and B = ker e = im(1 - e) as canonical bases, and passes the
+    validating constructor."""
+    from c4lab import linalg
+    from c4lab.conditions import Decomposition
+    from c4lab.modules import Submodule
+
+    assert subs and decs
+    for sub in subs:
+        checked = Submodule(sub.parent, sub.basis)
+        assert sub.basis.dtype == np.int64 and sub.basis.shape == checked.basis.shape
+        assert sub.key() == checked.key(), sub
+    for dec in decs:
+        m, e = dec.parent, dec.idempotent.matrix
+        image = linalg.row_space(e, m.p)
+        kernel = linalg.row_space((linalg.eye(m.dim) - e) % m.p, m.p)
+        assert image.shape == dec.a.basis.shape and image.tobytes() == dec.a.key(), m.name
+        assert kernel.shape == dec.b.basis.shape and kernel.tobytes() == dec.b.key(), m.name
+        Decomposition(m, dec.a, dec.b, dec.idempotent)
+
+
+def assert_a_report_takes_a_sound_trusted_path(m):
+    from c4lab.conditions import build_defect_report
+
+    with trusted_constructions() as (subs, decs):
+        build_defect_report(fresh(m), extension_grid=((2, 1), (3, 1)))
+    assert_the_trusted_path_is_sound(subs, decs)
+    return len(decs)
+
+
+def test_the_trusted_path_is_sound_on_the_corpus_and_its_lattices():
+    from c4lab.corpus import corpus_builtin
+    from test_modules import tiny_oracle_modules
+
+    modules = ([e.module for e in corpus_builtin()] + corpus_and_lattice_modules()
+               + tiny_oracle_modules())
+    assert sum(assert_a_report_takes_a_sound_trusted_path(m) for m in modules) > 1000
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(path_modules())
+def test_the_trusted_path_is_sound_on_generated_path_modules(m):
+    assert_a_report_takes_a_sound_trusted_path(m)
+
+
+def test_the_trusted_path_is_sound_under_transport():
+    """Transported carriers (`transport_submodule`) and the decompositions
+    of the image modules, on every fourth corpus module."""
+    from c4lab.corpus import corpus_builtin
+    from c4lab.morita import (apply_functor, build_progenerator, defect_bijection_check,
+                              transport_property_check, transport_witness)
+
+    witnesses = 0
+    with trusted_constructions() as (subs, decs):
+        for entry in corpus_builtin()[::4]:
+            prog = build_progenerator(entry.ring, ("matrix", 2))
+            m = fresh(entry.module)
+            assert transport_property_check(prog, m)["ok"]
+            assert defect_bijection_check(prog, m)["ok"]
+            tr = apply_functor(prog, m)
+            for w in def_c4(m):
+                assert transport_witness(tr, w).verdict == "defect"
+                witnesses += 1
+    assert witnesses > 0
+    assert_the_trusted_path_is_sound(subs, decs)

@@ -24,7 +24,7 @@ from c4lab.suite import SIDES, transport_side
 
 KERNELS = ("rref", "row_space", "left_nullspace", "right_kernel_cols", "solve_left_many",
            "in_row_space", "sum_rows", "intersect_rows", "inv_mod", "rank", "is_invertible",
-           "batch_rank", "distinct_row_spaces", "quotient_projection", "matmul_mod",
+           "batch_rank", "row_spaces", "distinct_row_spaces", "quotient_projection", "matmul_mod",
            "combine", "encode_codes")
 NOT_ARRAYS = ("p", "n_pivot_cols")
 

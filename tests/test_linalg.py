@@ -313,6 +313,66 @@ def test_distinct_row_spaces_matches_row_space(p, rows, cols):
     assert all(b.shape == e.shape for b, e in zip(got, expected.values()))
 
 
+def assert_row_spaces_match_row_space(stack, p):
+    got = linalg.row_spaces(stack, p)
+    want = [linalg.row_space(mat, p) for mat in stack]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2 ** 31 - 1])
+@pytest.mark.parametrize("cols", [1, 5, 62, 63, 70])
+def test_row_spaces_matches_row_space(p, cols):
+    """Byte for byte the bases `row_space` gives, matrix by matrix, on
+    both GF(2) packings (one int64 up to 62 columns, packbits beyond)."""
+    rng = np.random.default_rng(cols)
+    for rows in (1, 2, 3, 8):
+        stack = rng.integers(0, p, size=(40, rows, cols)) * rng.integers(0, 2, size=(40, rows, 1))
+        # repeated rows and zero rows, so that the ranks vary
+        stack[::3, -1] = stack[::3, 0]
+        stack[::5] = 0
+        assert_row_spaces_match_row_space(stack, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_row_spaces_of_empty_stacks_and_empty_matrices(p):
+    for shape in [(0, 3, 4), (0, 0, 4), (0, 3, 70), (4, 0, 5), (4, 0, 70), (4, 0, 0),
+                  (4, 3, 0), (1, 3, 0)]:
+        assert_row_spaces_match_row_space(np.zeros(shape, dtype=np.int64), p)
+    assert linalg.row_spaces(np.zeros((0, 3, 4), dtype=np.int64), p) == []
+    # the images of the maps of a decomposition with A = 0: an (n, 0, dim M) stack
+    assert [b.shape for b in linalg.row_spaces(np.zeros((3, 0, 6), dtype=np.int64), p)] \
+        == [(0, 6)] * 3
+
+
+def test_distinct_row_spaces_on_every_corpus_lattice_scan():
+    """On the acted stacks of the lattice scan of every corpus module and
+    lattice member, the distinct bases are those of a `row_space` per
+    matrix, byte for byte and in order of first occurrence."""
+    from c4lab.corpus import corpus_builtin
+    from c4lab.modules import all_submodules
+
+    modules = {}
+    for entry in corpus_builtin():
+        for x in all_submodules(entry.module).members:
+            x_mod = x.as_module()
+            modules.setdefault((id(x_mod.ring), x_mod.action.tobytes()), x_mod)
+    stacks = 0
+    for m in modules.values():
+        for block in linalg.coeff_blocks(m.p ** m.dim, m.dim, m.p, block=2048):
+            acted = m.act_rows(block).reshape(block.shape[0], m.ring.dim, m.dim)
+            want = {}
+            for mat in acted:
+                basis = linalg.row_space(mat, m.p)
+                want.setdefault(basis.tobytes(), basis)
+            got = linalg.distinct_row_spaces(acted, m.p)
+            assert [b.tobytes() for b in got] == list(want), m.name
+            assert [b.shape for b in got] == [b.shape for b in want.values()], m.name
+            stacks += 1
+    assert stacks >= 40
+
+
 def test_answers_are_deterministic_and_iso_verdicts_are_bools():
     """No module of c4lab draws random numbers, and no file compares an
     iso_test call with None: it returns a bool, and `False is not None`
