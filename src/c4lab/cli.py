@@ -18,7 +18,7 @@ import click
 from .conditions import (CONDITION_NAMES, DEFAULT_RULE_ID, build_defect_report, ext_cell,
                          parse_condition)
 from .guards import FAILURE_STATUS, failure_status
-from .io import InputError, load_guards, parse_module, parse_ring, read_json
+from .io import InputError, is_module_spec, load_guards, parse_module, parse_ring, read_json
 from .modules import regular_module
 from .morita import morita_pair_check
 from .reports import (
@@ -67,8 +67,7 @@ def _load(path, ring_mode):
     if not isinstance(data, dict):
         raise InputError(f"{path}: input file must hold a JSON object")
     base_dir = os.path.dirname(path) or "."
-    if ring_mode and "action" not in data and data.get("construct") not in (
-            "regular", "direct_sum"):
+    if ring_mode and not is_module_spec(data):
         ring = parse_ring(data, where=path, base_dir=base_dir)
         return regular_module(ring)
     return parse_module(data, where=path, base_dir=base_dir)

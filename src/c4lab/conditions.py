@@ -13,12 +13,13 @@ The End scan echelonizes a block of idempotents at a time, with one
 `linalg.row_spaces` call for their images and one for their kernels, the
 images of 1 - e.  The unit of the C4 scan is one decomposition's list of
 defect witnesses, cached per summand pair: `def_c4` concatenates them,
-echelonizing the images of a block of maps in one call too.  A rule
-declared `injective_only` (the default one is) calls every non-injective
-datum valid, so for it the scan drops each block's non-injective maps
-with one batched rank before evaluating any map; other rules see every
-map.  Kernels, images and summands are Submodules shared per canonical
-basis (`_carrier`), so equal ones share their cached data.  Distinct
+echelonizing the images of a block of maps in one call too.  Those image
+bases decide injectivity, as rank f = dim im f.  A rule declared
+`injective_only` (the default one is) calls every non-injective datum
+valid, so for it the scan drops a map whose image has fewer than dim A
+rows before building anything for it; other rules see every map.
+Kernels, images and summands are Submodules shared per canonical basis
+(`_carrier`), so equal ones share their cached data.  Distinct
 Submodules of one parent with equal actions in their own bases share one
 abstract module, so lattice members, summands and chain starts that are
 the same module are scanned once.  Under the default rule C4[m] holds
@@ -110,9 +111,6 @@ def enumerate_decompositions(
 
 
 def _end_scan(m: RightModule, homs: np.ndarray, total: int) -> tuple[Decomposition, ...]:
-    if m.dim == 0:
-        zero = m.zero_submodule()
-        return (Decomposition(m, zero, zero, ModuleHom(m, m, linalg.zeros(0, 0), check=False)),)
     k = homs.shape[0]
     out = []
     for block in linalg.coeff_blocks(total, k, m.p):
@@ -248,21 +246,26 @@ def evaluate_witness(m: RightModule, dec: Decomposition, f: ModuleHom,
         raise ValueError("decomposition does not belong to the module")
     if f.source is not dec.a.as_module() or f.target is not dec.b.as_module():
         raise ValueError("morphism endpoints do not match the decomposition")
-    return next(_evaluate_maps(m, dec, f.matrix[None], rule_id))
+    return next(_evaluate_maps(m, dec, f.matrix[None], rule_id, injective_only=False))
 
 
-def _evaluate_maps(m: RightModule, dec: Decomposition, mats: np.ndarray, rule_id: str):
+def _evaluate_maps(m: RightModule, dec: Decomposition, mats: np.ndarray, rule_id: str,
+                   injective_only: bool):
     """The WitnessRecords of the maps A -> B of an (n, dim A, dim B) stack, in
-    order, with all n images echelonized in one `row_spaces` call."""
+    order, with all n images echelonized in one `row_spaces` call; with
+    injective_only, those of the injective maps alone."""
     rule = get_rule(rule_id)
     a_mod, b_mod = dec.a.as_module(), dec.b.as_module()
     images = linalg.row_spaces(linalg.matmul_mod(mats, dec.b.basis, m.p), m.p)
     zero = _carrier(m, linalg.zeros(0, m.dim))
     for mat, basis in zip(mats, images):
-        f = ModuleHom(a_mod, b_mod, mat, check=False)
-        # B's basis rows are independent, so dim im f = rank f, and an
+        # B's basis rows are independent, so rank f = dim im f, and an
         # injective f has the zero kernel with no nullspace to compute
-        kernel = zero if basis.shape[0] == dec.a.dim else _carrier(m, linalg.row_space(
+        injective = basis.shape[0] == dec.a.dim
+        if injective_only and not injective:
+            continue
+        f = ModuleHom(a_mod, b_mod, mat, check=False)
+        kernel = zero if injective else _carrier(m, linalg.row_space(
             dec.a.to_parent(linalg.left_nullspace(f.matrix, m.p)), m.p))
         image = _carrier(m, basis)
         yield WitnessRecord(dec, f, kernel, image, rule_id,
@@ -298,8 +301,8 @@ def _dec_defects(m: RightModule, dec: Decomposition,
                  rule_id: str) -> tuple[WitnessRecord, ...]:
     """The defect witnesses f: A -> B of one decomposition M = A + B;
     `def_c4` checks its hom-scan guard p^(dim Hom(A, B)) first.  Under an
-    `injective_only` rule each block keeps only the maps of full rank
-    dim A before any is evaluated."""
+    `injective_only` rule only the maps whose image has dim A rows, the
+    injective ones, are evaluated."""
     def scan():
         injective_only = get_rule(rule_id).injective_only
         if injective_only and dec.a.dim > dec.b.dim:
@@ -311,9 +314,7 @@ def _dec_defects(m: RightModule, dec: Decomposition,
         defects = []
         for block in linalg.coeff_blocks(m.p ** k, k, m.p):
             mats = linalg.combine(block, homs, m.p)
-            if injective_only:
-                mats = mats[linalg.batch_rank(mats, m.p) == dec.a.dim]
-            defects.extend(rec for rec in _evaluate_maps(m, dec, mats, rule_id)
+            defects.extend(rec for rec in _evaluate_maps(m, dec, mats, rule_id, injective_only)
                            if rec.verdict == "defect")
         return tuple(defects)
     return memo(m._cache, ("defects", rule_id, dec.a.key(), dec.b.key()), scan)

@@ -239,6 +239,12 @@ def parse_module(spec, where: str = "module", base_dir: str = ".",
         _fail(where, str(exc))
 
 
+def is_module_spec(data) -> bool:
+    """Whether a parsed file holds a module (action matrices or a constructor), not a ring."""
+    return isinstance(data, dict) and ("action" in data or data.get("construct")
+                                       in ("regular", "direct_sum"))
+
+
 def parse_inputs(paths: list[str]):
     """Parse a list of files; ring files yield (ring, None), module files
     yield (ring, module)."""
@@ -246,8 +252,7 @@ def parse_inputs(paths: list[str]):
     for path in paths:
         data = read_json(path)
         base_dir = os.path.dirname(path) or "."
-        if isinstance(data, dict) and ("action" in data or data.get("construct")
-                                       in ("regular", "direct_sum")):
+        if is_module_spec(data):
             mod = parse_module(data, where=path, base_dir=base_dir)
             out.append((mod.ring, mod))
         else:

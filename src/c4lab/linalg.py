@@ -43,14 +43,12 @@ Kernels:
     product whenever k*(p-1)^2 < 2^63.
 * ``combine`` sums a stack of matrices weighted by coefficient rows, as
   one ``matmul_mod`` on the flattened stack.
-* ``batch_rank`` gives the ranks of a stack of matrices from one
-  elimination over the whole stack (the injectivity filter of a hom
-  scan).
 * ``row_spaces`` returns the canonical row-space basis of each matrix of
-  a stack, and ``distinct_row_spaces`` the distinct ones (the cyclic
-  submodules of a lattice scan).  Over GF(2) it packs the stack once and
-  echelonizes each matrix on packed rows with a pivot table keyed by
-  leading bit; for p > 2 it calls ``row_space`` on each.
+  a stack, the one stacked echelon: the cyclic submodules of a lattice
+  scan, the images and kernels of an End scan, and the images of a hom
+  scan, whose row counts are the maps' ranks.  Over GF(2) it packs the
+  stack once and echelonizes each matrix on packed rows with a pivot
+  table keyed by leading bit; for p > 2 it calls ``row_space`` on each.
 """
 
 from __future__ import annotations
@@ -258,42 +256,6 @@ def rank(mat, p: int) -> int:
     return len(piv)
 
 
-def batch_rank(stack, p: int) -> np.ndarray:
-    """Ranks of the matrices of an (n, r, c) stack over GF(p), as an (n,)
-    int64 array.
-
-    One elimination runs on the whole stack, a column at a time.  Each
-    matrix takes its first row with a nonzero entry in the column among
-    the rows below its current rank as the pivot row, moves it to row
-    rank, and clears the column below it by r_i <- r_i * a - pivot * b
-    (a the pivot entry, b row i's entry), which scales rows by nonzero
-    units only and needs no inverse; every term stays below p^2 < 2^62.
-    """
-    a = stack.copy()
-    n, r, c = a.shape
-    ranks = np.zeros(n, dtype=np.int64)
-    if not (n and r and c):
-        return ranks
-    rows = np.arange(r)
-    for col in range(c):
-        live = (rows >= ranks[:, None]) & (a[:, :, col] != 0)
-        hit = np.nonzero(live.any(axis=1))[0]
-        if not hit.size:
-            continue
-        top = ranks[hit]
-        piv = live[hit].argmax(axis=1)
-        pivot_rows = a[hit, piv]
-        a[hit, piv] = a[hit, top]
-        a[hit, top] = pivot_rows
-        below = np.where(rows > top[:, None], a[hit, :, col], 0)
-        a[hit] = (a[hit] * pivot_rows[:, col, None, None]
-                  - below[:, :, None] * pivot_rows[:, None, :]) % p
-        ranks[hit] += 1
-        if ranks.min() == r:
-            break
-    return ranks
-
-
 def row_space(mat, p: int) -> np.ndarray:
     """Canonical (RREF) basis of the row space; shape (rank, n)."""
     if mat.shape[0] == 0:
@@ -334,15 +296,6 @@ def row_spaces(stack, p: int) -> list[np.ndarray]:
     ends = np.cumsum(ranks).tolist()
     # copies, so that a kept basis does not hold the whole stack's array
     return [bases[end - k:end].copy() for k, end in zip(ranks, ends)]
-
-
-def distinct_row_spaces(stack, p: int) -> list[np.ndarray]:
-    """The distinct canonical (RREF) row-space bases of an (n, r, c) matrix
-    stack, in order of first occurrence (``row_spaces``, deduplicated)."""
-    spaces: dict[bytes, np.ndarray] = {}
-    for basis in row_spaces(stack, p):
-        spaces.setdefault(basis.tobytes(), basis)
-    return list(spaces.values())
 
 
 def left_nullspace(mat, p: int) -> np.ndarray:

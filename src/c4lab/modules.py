@@ -378,13 +378,14 @@ def submodule_span(m: RightModule, generators) -> Submodule:
     """Smallest action-closed subspace containing the generators."""
     gens = linalg.as_gf(generators, m.p).reshape(-1, m.dim)
     current = linalg.row_space(gens, m.p)
+    # each return is a canonical span (row_space, sum_rows) that the action keeps
     while True:
         if current.shape[0] == 0:
-            return Submodule(m, current, check=False)
+            return Submodule._canonical(m, current)
         acted = m.act_rows(current)
         bigger = linalg.sum_rows(current, acted, m.p)
         if bigger.shape[0] == current.shape[0]:
-            return Submodule(m, bigger, check=False)
+            return Submodule._canonical(m, bigger)
         current = bigger
 
 
@@ -459,7 +460,7 @@ def _lattice(m: RightModule, total: int) -> SubmoduleLattice:
     # 2048 codes a block bound each transient (block, dim R, dim M) acted stack
     for block in linalg.coeff_blocks(total, m.dim, p, block=2048):
         acted = m.act_rows(block).reshape(block.shape[0], m.ring.dim, m.dim)
-        for basis in linalg.distinct_row_spaces(acted, p):
+        for basis in linalg.row_spaces(acted, p):
             cyclics.setdefault(basis.tobytes(), basis)
     zero = linalg.zeros(0, m.dim)
     cyclics.pop(zero.tobytes(), None)
@@ -501,7 +502,7 @@ def _lattice(m: RightModule, total: int) -> SubmoduleLattice:
                     fresh.append(ks)
         frontier = fresh
     order = sorted(bases, key=lambda key: (bases[key].shape[0], key))
-    # members are zero, cyclic (distinct_row_spaces) or sums (sum_rows): canonical submodules
+    # members are zero, cyclic (row_spaces) or sums (sum_rows): canonical submodules
     return SubmoduleLattice(m, [Submodule._canonical(m, bases[key]) for key in order],
                             [bits[key] for key in order])
 
@@ -702,7 +703,8 @@ def _minimal_inside(m: RightModule, max_vectors: int) -> Submodule:
             if descended:
                 break
         if not descended:
-            return Submodule(m, current, check=False)
+            # a cyclic submodule's canonical basis (cyclic_submodule_basis)
+            return Submodule._canonical(m, current)
 
 
 def _semisimple_length(m: RightModule, max_vectors: int) -> int:

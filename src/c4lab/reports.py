@@ -92,8 +92,7 @@ def defect_report_dict(report: DefectReport, guards: Guards,
 
 def render_defect_report(report: DefectReport) -> str:
     lines = [f"module {report.module_id}"]
-    for key in ("C4", "C4star", "swCS", "strong"):
-        value = report.flags.get(key)
+    for key, value in report.flags.items():
         shown = "unresolved(guard)" if value is None else str(value).lower()
         lines.append(f"  {key:7s} {shown}")
     lines.append(f"  def_C4 defects      {len(report.def_c4)} "

@@ -5,8 +5,10 @@ and write into none of them; only the input boundary (the parser, the
 constructors and the coordinate-taking methods) reduces.  Each kernel is
 wrapped so that every array argument must be canonical and reaches the
 kernel read-only.  Under the wrappers the corpus is built from scratch,
-the defect report of every corpus module is built cold, and the transport
-check runs on both sides of a sample of them.
+the defect report and the literal-summand obstructions of every corpus
+module are computed cold, and the transport check runs on both sides of
+a sample of them.  Every other public function of ``linalg`` is named
+exempt.
 """
 
 import collections
@@ -17,15 +19,17 @@ import numpy as np
 import pytest
 
 from c4lab import corpus, linalg
-from c4lab.conditions import build_defect_report
+from c4lab.conditions import build_defect_report, obs_swcs
 from c4lab.modules import regular_module
 from c4lab.morita import morita_pair_check
 from c4lab.suite import SIDES, transport_side
 
 KERNELS = ("rref", "row_space", "left_nullspace", "right_kernel_cols", "solve_left_many",
            "in_row_space", "sum_rows", "intersect_rows", "inv_mod", "rank", "is_invertible",
-           "batch_rank", "row_spaces", "distinct_row_spaces", "quotient_projection", "matmul_mod",
-           "combine", "encode_codes")
+           "row_spaces", "quotient_projection", "matmul_mod", "combine", "encode_codes")
+# the public functions of linalg that take no GF(p) array: input normalization,
+# constructors, a scalar inverse and the coefficient enumerators
+EXEMPT = ("as_gf", "zeros", "eye", "inv_scalar", "decode_codes", "coeff_blocks")
 NOT_ARRAYS = ("p", "n_pivot_cols")
 
 
@@ -76,6 +80,8 @@ def test_kernels_see_only_canonical_read_only_arrays(calls):
     entries = corpus.corpus_builtin.__wrapped__()
     for entry in entries:
         build_defect_report(entry.module, module_id=entry.name)
+        # the literal-summand reading intersects pairs of summands
+        obs_swcs(entry.module, "literal-summand")
     for ring in corpus.corpus_rings().values():
         if ring.dim <= 4:
             build_defect_report(regular_module(ring), module_id=ring.name, ring_mode=True)
@@ -87,6 +93,15 @@ def test_kernels_see_only_canonical_read_only_arrays(calls):
     # the wrappers saw the work: every kernel ran but two that no report
     # or transport check calls
     assert set(KERNELS) - set(calls) <= {"inv_mod", "is_invertible"}
+
+
+def test_every_public_linalg_function_is_a_checked_kernel_or_exempt():
+    """A new public function of linalg joins KERNELS, and so the checks
+    above, or is named in EXEMPT."""
+    public = {name for name, fn in inspect.getmembers(linalg, inspect.isfunction)
+              if fn.__module__ == linalg.__name__ and not name.startswith("_")}
+    assert not set(KERNELS) & set(EXEMPT)
+    assert public == set(KERNELS) | set(EXEMPT)
 
 
 def test_the_wrapper_rejects_unreduced_and_written_arguments():

@@ -299,18 +299,12 @@ def test_gf2_elimination_lives_in_linalg():
 
 
 @pytest.mark.parametrize("p, rows, cols", [(2, 3, 4), (2, 2, 70), (3, 3, 3), (5, 2, 4)])
-def test_distinct_row_spaces_matches_row_space(p, rows, cols):
+def test_row_spaces_on_stacks_of_repeated_spaces(p, rows, cols):
     rng = np.random.default_rng(p * cols)
     # few distinct entries, so row spaces repeat across the stack
     stack = rng.integers(0, p, size=(300, rows, cols)) * rng.integers(0, 2, size=(300, rows, 1))
     stack = np.concatenate([np.zeros((1, rows, cols), dtype=np.int64), stack % p])
-    expected = {}
-    for mat in stack:
-        basis = linalg.row_space(mat, p)
-        expected.setdefault(basis.tobytes(), basis)
-    got = linalg.distinct_row_spaces(stack, p)
-    assert [b.tobytes() for b in got] == list(expected)
-    assert all(b.shape == e.shape for b, e in zip(got, expected.values()))
+    assert_row_spaces_match_row_space(stack, p)
 
 
 def assert_row_spaces_match_row_space(stack, p):
@@ -346,10 +340,10 @@ def test_row_spaces_of_empty_stacks_and_empty_matrices(p):
         == [(0, 6)] * 3
 
 
-def test_distinct_row_spaces_on_every_corpus_lattice_scan():
+def test_row_spaces_on_every_corpus_lattice_scan():
     """On the acted stacks of the lattice scan of every corpus module and
-    lattice member, the distinct bases are those of a `row_space` per
-    matrix, byte for byte and in order of first occurrence."""
+    lattice member, the bases are those of a `row_space` per matrix, byte
+    for byte and in order."""
     from c4lab.corpus import corpus_builtin
     from c4lab.modules import all_submodules
 
@@ -362,13 +356,7 @@ def test_distinct_row_spaces_on_every_corpus_lattice_scan():
     for m in modules.values():
         for block in linalg.coeff_blocks(m.p ** m.dim, m.dim, m.p, block=2048):
             acted = m.act_rows(block).reshape(block.shape[0], m.ring.dim, m.dim)
-            want = {}
-            for mat in acted:
-                basis = linalg.row_space(mat, m.p)
-                want.setdefault(basis.tobytes(), basis)
-            got = linalg.distinct_row_spaces(acted, m.p)
-            assert [b.tobytes() for b in got] == list(want), m.name
-            assert [b.shape for b in got] == [b.shape for b in want.values()], m.name
+            assert_row_spaces_match_row_space(acted, m.p)
             stacks += 1
     assert stacks >= 40
 
@@ -408,7 +396,8 @@ def test_answers_are_deterministic_and_iso_verdicts_are_bools():
 
 
 @pytest.mark.parametrize("p", [2, 3, 2 ** 31 - 1])
-def test_batch_rank_matches_rank(p):
+def test_row_spaces_ranks_match_rank(p):
+    """The C4 scan reads rank f as the row count of im f's basis."""
     rng = np.random.default_rng(p % 1000)
     for n, r, c in [(0, 3, 3), (0, 0, 0), (4, 0, 3), (4, 3, 0), (4, 0, 0),
                     (200, 3, 4), (200, 4, 3), (100, 5, 5), (50, 1, 6), (50, 6, 1)]:
@@ -418,23 +407,26 @@ def test_batch_rank_matches_rank(p):
             thin = linalg.matmul_mod(rng.integers(0, p, size=(n, r, 1)),
                                      rng.integers(0, p, size=(n, 1, c)), p)
             stack = np.concatenate([stack % p, thin])
-        ranks = linalg.batch_rank(stack % p, p)
-        assert ranks.dtype == np.int64 and ranks.shape == (stack.shape[0],)
-        assert ranks.tolist() == [linalg.rank(mat, p) for mat in stack % p]
+        ranks = [basis.shape[0] for basis in linalg.row_spaces(stack % p, p)]
+        assert ranks == [linalg.rank(mat, p) for mat in stack % p]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_batch_rank_against_row_space_count(p):
+def test_row_spaces_against_row_space_count(p):
     """Brute-force oracle: the row space of a rank-k matrix has p^k
-    vectors, counted by enumerating all p^r combinations of its rows."""
+    vectors, counted by enumerating all p^r combinations of its rows, and
+    its basis spans exactly those vectors."""
     import itertools
+
+    def span(rows, c):
+        return {tuple(sum(x * row[j] for x, row in zip(coeffs, rows)) % p for j in range(c))
+                for coeffs in itertools.product(range(p), repeat=len(rows))}
 
     rng = np.random.default_rng(11 * p)
     for r, c in [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)]:
         stack = rng.integers(0, p, size=(40, r, c)) * rng.integers(0, 2, size=(40, r, 1))
         stack = np.concatenate([np.zeros((1, r, c), dtype=np.int64), stack % p])
-        for mat, got in zip(stack, linalg.batch_rank(stack, p).tolist()):
-            rows = mat.tolist()
-            span = {tuple(sum(x * row[j] for x, row in zip(coeffs, rows)) % p for j in range(c))
-                    for coeffs in itertools.product(range(p), repeat=r)}
-            assert p ** got == len(span)
+        for mat, basis in zip(stack, linalg.row_spaces(stack, p)):
+            want = span(mat.tolist(), c)
+            assert p ** basis.shape[0] == len(want)
+            assert span(basis.tolist(), c) == want
