@@ -27,17 +27,19 @@ exactly when C4 does, so `is_c4_m` answers with `is_c4` (see its proof).
 The lattice-level questions (containment, disjointness, semisimplicity,
 essential hulls) are bit operations on the lattice's cyclic-submodule
 bitsets (`modules.SubmoduleLattice`), and a chain start's swCS flag is
-read off the parent's lattice (`check_extended`).  `def_c4star`,
-`obs_swcs` and the chain-start flags check guards inside their
-computations, so their caches are keyed by the Guards.
+read off the parent's lattice (`check_extended`).  Chain starts, obstruction
+legs (submodule reading) and, with p^dim M in the lattice bound, shape keys
+read lengths as heights in M's lattice, elsewhere `composition_length`.
+`def_c4star`, `obs_swcs` and the chain-start flags check guards inside
+their computations, so their caches are keyed by the Guards.
 
 A semisimple module is decided with no scan: all its submodules are
 summands, so it is swCS, and C4 under a rule that declares
 `summand_image_valid`.  Lattice members and chain starts are tested by
 their bits, a top-level module by its socle (`_socle_decides`).  A guard
-bounds work that runs, so the skipped scans' guards are not checked, and
-a tight-guard run can be exact where a full scan would be partial, never
-the reverse.
+bounds work that runs, so the skipped scans' guards are not checked, nor
+is `composition_length`'s fixed 2^16 one for a length read as a height,
+and a run can be exact where a full scan would be partial, never the reverse.
 """
 
 from __future__ import annotations
@@ -228,14 +230,14 @@ class WitnessRecord:
     verdict: str
     detail: str
 
-    def shape_key(self) -> tuple:
-        """Dimension vector plus an iso-invariant screen of the image."""
+    def shape_key(self, image_length: int | None = None) -> tuple:
+        """Dimension vector plus an iso-invariant screen of the image (`fingerprint`)."""
         return (
             self.decomposition.a.dim,
             self.decomposition.b.dim,
             self.kernel.dim,
             self.image.dim,
-            fingerprint(self.image.as_module()),
+            fingerprint(self.image.as_module(), image_length),
         )
 
 
@@ -325,16 +327,26 @@ def is_c4(m: RightModule, rule_id: str = DEFAULT_RULE_ID,
     return len(def_c4(m, rule_id, guards)) == 0
 
 
-def shape_classes(items) -> dict:
+def shape_classes(items, lat: SubmoduleLattice | None = None) -> dict:
     """Group defects by shape key; values are (count, sample).
 
-    Items are witnesses, or (submodule, witness) pairs keyed by the
-    submodule's fingerprint and the witness's shape key.
+    Items are witnesses on M, or (submodule, witness) pairs keyed by the
+    submodule's fingerprint and the witness's shape key.  Given M's
+    lattice, the lengths in the keys are heights there: a witness's image,
+    X, and the image of X's witness lifted into M are members.
     """
+    def length(sub, x=None):    # of sub, or of sub lifted from x into M; None with no lat
+        if lat is not None:
+            rows = sub.basis if x is None else linalg.row_space(x.to_parent(sub.basis), x.parent.p)
+            return lat.lengths()[lat.index[rows.tobytes()]]
+
     out: dict[tuple, list] = {}
     for item in items:
-        key = ((fingerprint(item[0].as_module()), item[1].shape_key())
-               if isinstance(item, tuple) else item.shape_key())
+        if isinstance(item, tuple):
+            x, rec = item
+            key = (fingerprint(x.as_module(), length(x)), rec.shape_key(length(rec.image, x)))
+        else:
+            key = item.shape_key(length(item.image))
         out.setdefault(key, []).append(item)
     return {k: (len(v), v[0]) for k, v in sorted(out.items(), key=lambda kv: repr(kv[0]))}
 
@@ -412,6 +424,9 @@ def _obstruction_pairs(m: RightModule, reading: str,
 
         def below(x, y):
             return y.contains(x)
+
+        def length(x):
+            return composition_length(x.as_module())
     else:
         lat = all_submodules(m, guards.max_lattice_vectors)
         found = [(lat.members[i], lat.members[j]) for i, j in _lattice_obstructions(
@@ -420,14 +435,15 @@ def _obstruction_pairs(m: RightModule, reading: str,
         def below(x, y):
             return not lat.bits_of(x.basis) & ~lat.bits_of(y.basis)
 
+        def length(x):
+            return lat.lengths()[lat.index[x.key()]]
+
     pairs = []
     for x, y in found:
         # minimal: no other obstruction pair sits leg by leg inside (x, y)
         minimal = not any(below(x2, x) and below(y2, y) or below(y2, x) and below(x2, y)
                           for x2, y2 in found if (x2, y2) != (x, y))
-        lx = composition_length(x.as_module())
-        ly = composition_length(y.as_module())
-        pairs.append(ObstructionPair(x, y, minimal, (lx, ly)))
+        pairs.append(ObstructionPair(x, y, minimal, (length(x), length(y))))
     return tuple(pairs)
 
 
@@ -570,21 +586,12 @@ def is_c4_m(m: RightModule, arity: int, rule_id: str = DEFAULT_RULE_ID,
 def _chain_starts(lat: SubmoduleLattice, depth: int, strict: bool):
     """Lattice members that begin a depth-d subobject chain.
 
-    Strict chains require d proper inclusions X_0 < ... < X_d; the final
-    containment X_d <= M is unconstrained.  Non-strict chains allow
-    repeats, so every member qualifies.
+    Strict chains need d proper inclusions X_0 < ... < X_d <= M, and the
+    longest has length M - length X_0 steps (Jordan-Hoelder on M/X_0).
+    Non-strict chains allow repeats, so every member qualifies.
     """
-    if not strict:
-        return list(lat.members)
-    contains = lat.contains_matrix()
-    n = len(lat.members)
-    height = [0] * n
-    # members come in increasing dimension, so every strict upper bound of
-    # member i comes after it
-    for i in reversed(range(n)):
-        height[i] = max((height[j] + 1 for j in range(i + 1, n)
-                         if contains[i, j] and lat.bits[i] != lat.bits[j]), default=0)
-    return [lat.members[i] for i in range(n) if height[i] >= depth]
+    lengths = lat.lengths()
+    return [x for x, n in zip(lat.members, lengths) if not strict or lengths[-1] - n >= depth]
 
 
 def check_extended(m: RightModule, arity: int = 2, depth: int = 1,
@@ -775,13 +782,16 @@ def build_defect_report(m: RightModule, module_id: str | None = None,
             }
         ring_scan = attempt("ring_scan", run_scan, None)
 
+    # def_c4star builds M's lattice exactly when p^dim M is within its bound
+    lat = (all_submodules(m, guards.max_lattice_vectors)
+           if m.p ** m.dim <= guards.max_lattice_vectors else None)
     return DefectReport(
         module_id=module_id or m.name,
         flags=flags,
         def_c4=c4_defects if c4_defects is not None else (),
-        def_c4_classes=shape_classes(c4_defects) if c4_defects else {},
+        def_c4_classes=shape_classes(c4_defects, lat) if c4_defects else {},
         def_c4star=c4star_defects if c4star_defects is not None else (),
-        def_c4star_classes=shape_classes(c4star_defects) if c4star_defects else {},
+        def_c4star_classes=shape_classes(c4star_defects, lat) if c4star_defects else {},
         obs=pairs if pairs is not None else (),
         obstruction_index=iota,
         extensions=extensions,

@@ -175,9 +175,6 @@ class Submodule:
             return True
         return linalg.in_row_space(other.basis, self.basis, self.parent.p)
 
-    def contains_rows(self, rows) -> bool:
-        return linalg.in_row_space(rows, self.basis, self.parent.p)
-
     def membership_cols(self) -> np.ndarray:
         """Matrix Q with v in this submodule iff v @ Q = 0."""
         return memo(self._cache, "memb",
@@ -411,7 +408,11 @@ class SubmoduleLattice:
       largest semisimple submodule.
 
     Since soc A = A ∩ soc M, N <=e A iff S(N) is a subset of S(A) and
-    S(A) & S(soc M) is a subset of S(N) (``essential``).
+    S(A) & S(soc M) is a subset of S(N) (``essential``).  Length X is X's
+    height (``lengths``): maximal chains share one length (Jordan-Hoelder),
+    and the last member before X below X is maximal in X.  N is a summand
+    iff some member C has S(C) & S(N) == 0 and dim C + dim N = dim M
+    (``summands``), for then N ∩ C = 0 and N + C = M.
     """
 
     def __init__(self, parent: RightModule, members: list[Submodule], bits: list[int]):
@@ -444,6 +445,25 @@ class SubmoduleLattice:
         """Nonzero members containing no smaller nonzero member: the ones
         holding a single nonzero cyclic submodule, themselves."""
         return [x for x, b in zip(self.members, self.bits) if b.bit_count() == 1]
+
+    def lengths(self) -> tuple[int, ...]:
+        """Each member's composition length, as its height."""
+        def heights():
+            out = [0]       # members[0] is the zero submodule, below every other
+            for i, b in enumerate(self.bits[1:], 1):
+                out.append(out[next(j for j in reversed(range(i)) if not self.bits[j] & ~b)] + 1)
+            return tuple(out)
+        return memo(self._cache, "lengths", heights)
+
+    def summands(self) -> tuple[bool, ...]:
+        """Whether each member is a direct summand of the parent."""
+        def complemented():
+            by_dim: dict[int, list[int]] = {}
+            for x, b in zip(self.members, self.bits):
+                by_dim.setdefault(x.dim, []).append(b)
+            return tuple(any(not b & c for c in by_dim.get(self.parent.dim - x.dim, ()))
+                         for x, b in zip(self.members, self.bits))
+        return memo(self._cache, "summands", complemented)
 
 
 def all_submodules(m: RightModule,
@@ -603,7 +623,7 @@ def essential_in(n: Submodule, a: Submodule) -> bool:
     # soc(A) = A ∩ soc(M), which depends on A alone
     soc_a = memo(a._cache, "socle", lambda: linalg.intersect_rows(
         a.basis, socle(a.parent).basis, a.parent.p))
-    return n.contains_rows(soc_a) if soc_a.shape[0] else True
+    return linalg.in_row_space(soc_a, n.basis, a.parent.p) if soc_a.shape[0] else True
 
 
 def is_summand(n: Submodule, m: RightModule):
@@ -721,7 +741,9 @@ def _semisimple_length(m: RightModule, max_vectors: int) -> int:
 
 def composition_length(m: RightModule,
                        max_vectors: int = DEFAULT_GUARDS.max_lattice_vectors) -> int:
-    """Length = sum of socle-layer lengths (Jordan-Hoelder count)."""
+    """Length = sum of socle-layer lengths (Jordan-Hoelder count), under
+    `_minimal_inside`'s guard.  A caller holding M's lattice reads heights
+    (``SubmoduleLattice.lengths``), unguarded: exact where this escapes."""
     # the minimal-submodule scans check max_vectors inside: key by it
     return memo(m._cache, ("length", max_vectors),
                 lambda: _composition_length(m, max_vectors))
@@ -738,16 +760,13 @@ def _composition_length(m: RightModule, max_vectors: int) -> int:
     return layer + composition_length(quot, max_vectors)
 
 
-def fingerprint(m: RightModule) -> tuple:
-    """Cheap isomorphism-invariant screen (no lattice needed)."""
-    return memo(m._cache, "fingerprint", lambda: (
-        m.dim,
-        socle(m).dim,
-        composition_length(m),
-        hom_dim(m, m),
-        radical_series_dims(m),
-        socle_series_dims(m),
-    ))
+def fingerprint(m: RightModule, length: int | None = None) -> tuple:
+    """Cheap isomorphism-invariant screen (no lattice needed).  A caller
+    holding a lattice with M as a member passes M's height there as length,
+    which skips `composition_length`'s 2^16 guard: exact where it escapes."""
+    dim, soc, hom, rad, socs = memo(m._cache, "screen", lambda: (
+        m.dim, socle(m).dim, hom_dim(m, m), radical_series_dims(m), socle_series_dims(m)))
+    return dim, soc, composition_length(m) if length is None else length, hom, rad, socs
 
 
 # ---------------------------------------------------------------------------

@@ -507,9 +507,9 @@ def defect_bijection_check(prog: Progenerator, m: RightModule,
 
 def transport_property_check(prog: Progenerator, m: RightModule,
                              guards: Guards = DEFAULT_GUARDS) -> dict:
-    """Summandhood, semisimplicity and essentiality of every submodule
-    must agree with their transports; the lattice map must be an order
-    isomorphism onto the image lattice."""
+    """Summandhood (a retraction solve on M, complements in F(M)'s lattice),
+    semisimplicity and essentiality of every submodule must agree with their
+    transports; the lattice map must be an order isomorphism onto the image."""
     tr = apply_functor(prog, m)
     lat = all_submodules(m, guards.max_lattice_vectors)
     lat_image = all_submodules(tr.image, guards.max_lattice_vectors)
@@ -527,7 +527,8 @@ def transport_property_check(prog: Progenerator, m: RightModule,
                                   lat_image.contains_matrix()[np.ix_(at, at)])
 
     summand_ok = all(
-        (is_summand(n, m) is not None) == (is_summand(tn, tr.image) is not None)
+        tn.key() in lat_image.index
+        and (is_summand(n, m) is not None) == lat_image.summands()[lat_image.index[tn.key()]]
         for n, tn in zip(lat.members, transported))
     semisimple_ok = all(
         is_semisimple(n.as_module()) == is_semisimple(tn.as_module())

@@ -1105,3 +1105,66 @@ def test_the_trusted_path_is_sound_under_transport():
                 witnesses += 1
     assert witnesses > 0
     assert_the_trusted_path_is_sound(subs, decs)
+
+
+# ---------------------------------------------------------------------------
+# C4* from its definition
+# ---------------------------------------------------------------------------
+
+def definitional_c4star_defects(m):
+    """C4* from its definition: `definitional_c4_defects` on every member
+    X of the brute-force lattice, in X's own basis, with each witness's
+    A, B, ker f and im f lifted into m.  Returns the sorted
+    (X, A, B, ker f, im f) canonical bases.  The zero member is skipped:
+    its one datum, the zero map, has the summand 0 as its image."""
+    from c4lab import linalg
+    from test_modules import brute_force_lattice
+
+    out = []
+    for key in brute_force_lattice(m):
+        x = np.frombuffer(key, dtype=np.int64).reshape(-1, max(m.dim, 1))
+        if not x.shape[0]:
+            continue
+        _, defects = definitional_c4_defects(_own_module(m, x))
+        for carriers in defects:
+            coords = [np.frombuffer(c, dtype=np.int64).reshape(-1, x.shape[0]) for c in carriers]
+            out.append((key, *(linalg.row_space(c @ x % m.p, m.p).tobytes() for c in coords)))
+    return sorted(out)
+
+
+def c4star_oracle_modules():
+    """The tiny oracle modules and the regular modules of F_p<x, y>/(x, y)^2
+    for p = 2, 3, each with at most 2^6 elements."""
+    from test_modules import tiny_oracle_modules
+
+    return [m for m in tiny_oracle_modules()
+            + [regular_module(local_square_zero_algebra(p, 2)) for p in (2, 3)]
+            if m.p ** m.dim <= 2 ** 6]
+
+
+def assert_c4star_defects_match_the_definition(m):
+    """`def_c4star(m)`, each pair lifted by `morita._lifted_carriers`,
+    against `definitional_c4star_defects`; returns the number of defects."""
+    from c4lab.morita import _lifted_carriers
+
+    got = sorted((x.key(), *(c.key() for c in _lifted_carriers(x, w))) for x, w in def_c4star(m))
+    want = definitional_c4star_defects(m)
+    assert got == want, m.name
+    return len(want)
+
+
+def test_c4star_defects_match_the_definition_at_tiny_sizes():
+    """`def_c4star` against an oracle that uses no End scan, presentation,
+    `is_summand`, stacked echelon or lattice bits, only GF(p) ranks on
+    brute-force lattices: the (X, A, B, ker f, im f) witnesses agree as a
+    multiset of canonical bases in M."""
+    modules = c4star_oracle_modules()
+    defects = sum(assert_c4star_defects_match_the_definition(m) for m in modules)
+    assert len(modules) > 150 and defects >= 80
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(path_modules())
+def test_c4star_defects_of_generated_path_modules_match_the_definition(m):
+    if m.p ** m.dim <= 2 ** 6:
+        assert_c4star_defects_match_the_definition(m)

@@ -746,3 +746,49 @@ def test_hom_spaces_of_generated_path_modules_match_both_oracles(m):
     for a in mods:
         for b in mods:
             assert_same_homs(hom_space_matrices(a, b), commutation_solve(a, b))
+
+
+# ---------------------------------------------------------------------------
+# lengths and summands read off the lattice
+# ---------------------------------------------------------------------------
+
+def assert_lattice_lengths_and_summands_match(m):
+    """`SubmoduleLattice.lengths` against the brute-force height and
+    `composition_length`, and `SubmoduleLattice.summands` against
+    `is_summand` and a complement search by rank, on every member of m's
+    lattice.  Returns the number of members checked."""
+    p, lat = m.p, all_submodules(m)
+    members, lengths, summands = lat.members, lat.lengths(), lat.summands()
+    assert len(lengths) == len(summands) == len(members)
+    height = []
+    for i, x in enumerate(members):     # members come in increasing dimension
+        below = [height[j] + 1 for j, y in enumerate(members[:i])
+                 if y.dim < x.dim and _span_rank(x.basis, y.basis, p=p) == x.dim]
+        height.append(max(below, default=0))
+    for x, length, height_x, summand in zip(members, lengths, height, summands):
+        assert length == height_x == composition_length(x.as_module()), (m.name, x.dim)
+        brute = any(y.dim == m.dim - x.dim and _span_rank(x.basis, y.basis, p=p) == m.dim
+                    for y in members)
+        assert summand == brute == (is_summand(x, m) is not None), (m.name, x.dim)
+    return len(members)
+
+
+def test_lattice_lengths_and_summands_match_brute_force():
+    """The corpus, the tiny oracle modules and F_p<x, y>/(x, y)^2 at
+    p = 2, 3, each with at most 2^12 elements."""
+    modules = [m for m in bitset_oracle_modules() if m.p ** m.dim <= 2 ** 12]
+    checked = sum(assert_lattice_lengths_and_summands_match(m) for m in modules)
+    assert len(modules) > 150 and checked > 1500
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(path_modules())
+def test_lattice_lengths_and_summands_of_generated_path_modules(m):
+    assert_lattice_lengths_and_summands_match(m)
+
+
+def test_lengths_and_summands_of_a_lattice_are_computed_once(reg_plus_s):
+    lat = all_submodules(reg_plus_s)
+    assert lat.lengths() is lat.lengths() and lat.summands() is lat.summands()
+    assert lat.lengths()[0] == 0 and lat.lengths()[-1] == composition_length(reg_plus_s)
+    assert lat.summands()[0] and lat.summands()[-1]

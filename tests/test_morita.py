@@ -12,6 +12,7 @@ from c4lab.conditions import def_c4, enumerate_decompositions, evaluate_witness,
 from c4lab.corpus import corpus_builtin, local_square_zero_algebra, simple_modules
 from c4lab.modules import (
     ModuleHom,
+    SubmoduleLattice,
     all_submodules,
     direct_sum,
     fingerprint,
@@ -28,6 +29,7 @@ from c4lab.morita import (
     free_progenerator,
     morita_pair_check,
     transport_hom,
+    transport_property_check,
     transport_submodule,
     transport_witness,
 )
@@ -250,6 +252,27 @@ def test_defect_bijection_check_catches_an_obstruction_leg_sent_onto_its_partner
     assert len(pairs) == 3
     _reroute_transport(monkeypatch, tr, pairs[0].x, transport_submodule(tr, pairs[0].y))
     assert defect_bijection_check(prog, m)["multiset_obs_swcs"] is False
+
+
+def test_transport_property_check_catches_one_flipped_summand_flag(monkeypatch, prog, ms):
+    """Summandhood on M comes from the retraction solve and on F(M) from
+    the image lattice's complements: one wrong flag on the F(M) side, for
+    any member, breaks the agreement."""
+    tr = apply_functor(prog, ms)
+    assert transport_property_check(prog, ms)["summand_agreement"] is True
+    real = SubmoduleLattice.summands
+    members = len(all_submodules(tr.image).members)
+    assert members > 2
+    for k in range(members):
+        def flipped(lat, k=k):
+            flags = real(lat)
+            return flags[:k] + (not flags[k],) + flags[k + 1:] if lat.parent is tr.image else flags
+        monkeypatch.setattr(SubmoduleLattice, "summands", flipped)
+        report = transport_property_check(prog, ms)
+        assert report["summand_agreement"] is False, k
+        assert report["ok"] is False and report["semisimple_agreement"] is True
+    monkeypatch.undo()
+    assert transport_property_check(prog, ms)["ok"] is True
 
 
 def test_generator_certificate_present(prog):

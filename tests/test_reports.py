@@ -1,12 +1,14 @@
+import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from c4lab.algebra import poly_quotient_algebra
-from c4lab.conditions import build_defect_report
+from c4lab.conditions import build_defect_report, def_c4, def_c4star, shape_classes
 from c4lab.corpus import simple_modules
-from c4lab.guards import Guards, DEFAULT_GUARDS
-from c4lab.modules import direct_sum, regular_module
+from c4lab.guards import Guards, DEFAULT_GUARDS, GuardExceeded
+from c4lab.modules import all_submodules, direct_sum, regular_module
 from c4lab.reports import (
     defect_report_dict,
     render_defect_report,
@@ -101,3 +103,44 @@ def test_the_suite_summary_counts_partial_records():
     summary = suite_report_dict(checks, DEFAULT_GUARDS)
     assert (summary["total"], summary["failures"], summary["partial"]) == (4, 1, 2)
     assert render_suite_report(summary).splitlines()[-1] == "4 checks, 1 failures, 2 partial"
+
+
+# ---------------------------------------------------------------------------
+# golden defect-report bytes, and shape keys read off the lattice
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def report_modules():
+    from defect_reports import report_modules
+    return report_modules()
+
+
+def test_defect_reports_match_the_committed_digest(report_modules):
+    """JSON and text of 55 reports, shape classes included, byte for byte
+    against `tests/defect_reports.sha256`."""
+    from defect_reports import committed_digest, report_bytes
+
+    data, partial = report_bytes(DEFAULT_GUARDS, report_modules)
+    assert len(report_modules) == 55
+    assert hashlib.sha256(data).hexdigest() == committed_digest()
+
+
+def test_shape_keys_read_off_the_lattice_equal_the_counted_ones(report_modules):
+    """`shape_classes` given M's lattice (lengths as heights) against
+    `shape_classes` alone (`composition_length`), for the C4 and the C4*
+    defects of every report module that has any (a partial section has
+    none to key)."""
+    checked = {def_c4: 0, def_c4star: 0}
+    for _, m in report_modules:
+        if m.p ** m.dim > DEFAULT_GUARDS.max_lattice_vectors:
+            continue
+        lat = all_submodules(m)
+        for kind in checked:
+            try:
+                items = kind(m)
+            except GuardExceeded:
+                continue
+            if items:
+                assert shape_classes(items, lat) == shape_classes(items), (m.name, kind)
+                checked[kind] += 1
+    assert checked[def_c4] >= 10 and checked[def_c4star] >= 10
