@@ -7,10 +7,10 @@ row vectors.  Constructors cover prime fields, polynomial quotients,
 full matrix algebras, upper triangular algebras, direct products and
 corner algebras e*A*e.
 
-Constructor-built algebras carry their Jacobson radical, propagated
-through the construction (e.g. the radical of a matrix algebra is the
-matrix algebra of the base radical); raw algebras fall back to the
-exhaustive quasi-regularity computation under a size guard.
+Every algebra, built or parsed, gets its Jacobson radical from its
+structure constants alone (`jacobson_radical`): a chain of trace
+functionals on the left regular representation, linear algebra on
+systems of size dim A with no element enumeration and no guard.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class FiniteAlgebra:
     """
 
     def __init__(self, p, dim, labels, structure_constants, one_coords,
-                 name=None, known_radical=None):
+                 name=None):
         field = PrimeField(int(p))
         self.p = field.p
         self.dim = int(dim)
@@ -80,9 +80,6 @@ class FiniteAlgebra:
         self.one = one
         self.name = name or f"algebra(p={self.p},dim={self.dim})"
         self._validate()
-        if known_radical is not None:
-            known_radical = linalg.row_space(linalg.as_gf(known_radical, self.p), self.p)
-        self._known_radical = known_radical
         self._cache: dict = {}
         self.sc.setflags(write=False)
         self.one.setflags(write=False)
@@ -146,30 +143,8 @@ class FiniteAlgebra:
             return rho
         return memo(self._cache, "rho", stack)
 
-    # -- element enumeration ---------------------------------------------
-
     def element_count(self) -> int:
         return self.p ** self.dim
-
-    def all_element_rows(self, guard: int = 2 ** 20) -> np.ndarray:
-        """All coordinate vectors in lexicographic order, shape (p^dim, dim)."""
-        n = self.element_count()
-        return memo(self._cache, "elements",
-                    lambda: linalg.decode_codes(np.arange(n, dtype=np.int64),
-                                                self.dim, self.p),
-                    guard=(f"element enumeration of {self.name}", n, guard))
-
-    def unit_table(self, guard: int = 2 ** 20) -> np.ndarray:
-        """Boolean table over element codes: True iff the element is a unit."""
-        rows = self.all_element_rows(guard)
-
-        def table():
-            lmats = linalg.combine(rows, self.sc, self.p)
-            units = np.zeros(rows.shape[0], dtype=bool)
-            for idx in range(rows.shape[0]):
-                units[idx] = linalg.rank(lmats[idx], self.p) == self.dim
-            return units
-        return memo(self._cache, "unit_table", table)
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name}, p={self.p}, dim={self.dim})"
@@ -279,8 +254,7 @@ class IdealBasis:
 def field_algebra(p: int) -> FiniteAlgebra:
     """The prime field GF(p) as a one-dimensional algebra."""
     sc = np.ones((1, 1, 1), dtype=np.int64)
-    return FiniteAlgebra(p, 1, ("1",), sc, [1], name=f"F{p}",
-                         known_radical=linalg.zeros(0, 1))
+    return FiniteAlgebra(p, 1, ("1",), sc, [1], name=f"F{p}")
 
 
 def poly_quotient_algebra(p: int, f_coeffs) -> FiniteAlgebra:
@@ -343,17 +317,7 @@ def matrix_algebra(base: FiniteAlgebra, n: int) -> FiniteAlgebra:
     else:
         labels = tuple(f"E{i + 1}{j + 1}*{base.labels[k]}"
                        for i in range(n) for j in range(n) for k in range(d))
-    rad_base = jacobson_radical(base).basis
-    rad_rows = []
-    for v in rad_base:
-        for i in range(n):
-            for j in range(n):
-                row = np.zeros(D, dtype=np.int64)
-                row[idx(i, j, 0): idx(i, j, 0) + d] = v
-                rad_rows.append(row)
-    rad = np.array(rad_rows, dtype=np.int64).reshape(-1, D)
-    return FiniteAlgebra(p, D, labels, sc, one,
-                         name=f"M{n}({base.name})", known_radical=rad)
+    return FiniteAlgebra(p, D, labels, sc, one, name=f"M{n}({base.name})")
 
 
 def upper_triangular_algebra(p: int, n: int) -> FiniteAlgebra:
@@ -372,11 +336,7 @@ def upper_triangular_algebra(p: int, n: int) -> FiniteAlgebra:
     for i in range(n):
         one[index[(i, i)]] = 1
     labels = tuple(f"E{i + 1}{j + 1}" for i, j in pairs)
-    rad = linalg.eye(d)[[index[pr] for pr in pairs if pr[0] != pr[1]]]
-    if rad.size == 0:
-        rad = linalg.zeros(0, d)
-    return FiniteAlgebra(p, d, labels, sc, one, name=f"T{n}(F{p})",
-                         known_radical=rad)
+    return FiniteAlgebra(p, d, labels, sc, one, name=f"T{n}(F{p})")
 
 
 def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
@@ -389,13 +349,7 @@ def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     sc[a.dim:, a.dim:, a.dim:] = b.sc
     one = np.concatenate([a.one, b.one])
     labels = tuple(f"{s}@1" for s in a.labels) + tuple(f"{s}@2" for s in b.labels)
-    ra = jacobson_radical(a).basis
-    rb = jacobson_radical(b).basis
-    rad = np.zeros((ra.shape[0] + rb.shape[0], d), dtype=np.int64)
-    rad[: ra.shape[0], : a.dim] = ra
-    rad[ra.shape[0]:, a.dim:] = rb
-    return FiniteAlgebra(a.p, d, labels, sc, one,
-                         name=f"{a.name}x{b.name}", known_radical=rad)
+    return FiniteAlgebra(a.p, d, labels, sc, one, name=f"{a.name}x{b.name}")
 
 
 @dataclass(frozen=True)
@@ -429,17 +383,9 @@ def corner_algebra(a: FiniteAlgebra, e: AlgebraElement) -> CornerAlgebra:
     one = linalg.solve_left_many(basis, e.coords.reshape(1, -1), p)
     if one is None:
         raise ValueError("corner identity e not in corner span")
-    rad_a = jacobson_radical(a).basis
-    if rad_a.shape[0]:
-        le = linalg.matmul_mod(rad_a, ebi, p)                          # rows e*r
-        eje = linalg.matmul_mod(le, a.right_mult_matrix(e.coords), p)
-        rad = linalg.solve_left_many(basis, linalg.row_space(eje, p), p)
-    else:
-        rad = linalg.zeros(0, k)
     labels = tuple(f"c{i}" for i in range(k))
-    alg = FiniteAlgebra(p, k, labels, sc, one[0],
-                        name=f"corner({a.name})", known_radical=rad)
-    return CornerAlgebra(alg, basis)
+    return CornerAlgebra(FiniteAlgebra(p, k, labels, sc, one[0], name=f"corner({a.name})"),
+                         basis)
 
 
 def quotient_algebra(a: FiniteAlgebra, ideal: IdealBasis):
@@ -466,40 +412,43 @@ def quotient_algebra(a: FiniteAlgebra, ideal: IdealBasis):
 # radical, idempotents, corners
 # ---------------------------------------------------------------------------
 
-def jacobson_radical(a: FiniteAlgebra, guard: int = 2 ** 20) -> IdealBasis:
-    """Basis of J(A) = {x : 1 - x*r is a unit for all r}.
+def jacobson_radical(a: FiniteAlgebra) -> IdealBasis:
+    """Basis of J(A), by the chain of trace functionals of Ronyai
+    ("Computing the structure of finite algebras", JSC 1990) and Cohen,
+    Ivanyos and Wales ("Finding the radical of an algebra of linear
+    transformations", JPAA 1997) on the left regular representation.
 
-    Constructor-derived algebras answer from their propagated radical;
-    otherwise the quasi-regularity test runs over all p^dim elements.
-    The guard counts those elements, but each non-unit is multiplied by
-    every element: up to p^(2 dim) products, 2^40 at the default 2^20.
+    With n = dim A and I_{-1} = A, step i lifts L_x to integers for each
+    basis element x of I_{i-1} and takes g_i(x) = Tr(L_x^(p^i) mod p^(i+1))
+    / p^i mod p, a linear functional on I_{i-1}; then I_i = {x in I_{i-1} :
+    g_i(xy) = 0 for all y}.  J(A) is the I_i at the first p^(i+1) > n, so
+    for p > n this is one step, the kernel of Dickson's trace form.
     """
-    scan = a._known_radical is None
-    return memo(a._cache, "radical", lambda: _radical(a, guard),
-                guard=(f"element enumeration of {a.name}", a.element_count(), guard)
-                if scan else None)
+    return memo(a._cache, "radical", lambda: _radical(a))
 
 
-def _radical(a: FiniteAlgebra, guard: int) -> IdealBasis:
-    if a._known_radical is not None:
-        result = IdealBasis(a, a._known_radical)
-    else:
-        rows = a.all_element_rows(guard)
-        units = a.unit_table(guard)
-        members = []
-        for idx in range(rows.shape[0]):
-            if units[idx]:
-                continue  # units are never quasi-regular absorbers
-            x = rows[idx]
-            prods = linalg.matmul_mod(rows, a.left_mult_matrix(x), a.p)   # all x*r
-            codes = linalg.encode_codes((a.one - prods) % a.p, a.p)
-            if bool(units[codes].all()):
-                members.append(x)
-        basis = linalg.row_space(np.array(members, dtype=np.int64).reshape(-1, a.dim), a.p) \
-            if members else linalg.zeros(0, a.dim)
-        result = IdealBasis(a, basis)
-    result.basis.setflags(write=False)
-    return result
+def _radical(a: FiniteAlgebra) -> IdealBasis:
+    p, n = a.p, a.dim
+    basis, pi = linalg.eye(n), 1                         # I_{-1} = A, p^i at step i = 0
+    while basis.shape[0] and pi <= n:
+        q = pi * p
+        lmats = linalg.combine(basis, a.sc, p)           # lmats[k, j] = x_k * b_j
+        power = lmats
+        for bit in bin(pi)[3:]:                          # L_x^(p^i) mod q
+            power = linalg.matmul_mod(power, power, q)
+            if bit == "1":
+                power = linalg.matmul_mod(power, lmats, q)
+        traces = np.trace(power, axis1=1, axis2=2) % q
+        if np.any(traces % pi):
+            raise ValueError(f"radical of {a.name}: a trace mod {q} is not divisible by {pi}")
+        # g_i is linear on I_{i-1}, so g_i(x_k b_j) = coords(x_k b_j) . g_i(x)
+        coords = linalg.solve_left_many(basis, lmats.reshape(-1, n), p)
+        gram = linalg.matmul_mod(coords, (traces // pi).reshape(-1, 1), p)
+        kept = linalg.left_nullspace(gram.reshape(basis.shape[0], n), p)
+        basis = linalg.row_space(linalg.matmul_mod(kept, basis, p), p)
+        pi = q
+    basis.setflags(write=False)
+    return IdealBasis(a, basis)
 
 
 def idempotents(a: FiniteAlgebra, guard: int = 2 ** 20) -> list[AlgebraElement]:

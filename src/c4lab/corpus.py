@@ -325,8 +325,5 @@ def local_square_zero_algebra(p: int = 2, generators: int = 2) -> FiniteAlgebra:
     sc[0, :, :] = linalg.eye(d)
     sc[:, 0, :] = linalg.eye(d)
     one = linalg.eye(d)[0]
-    rad = linalg.eye(d)[1:]
     labels = ("1",) + tuple(f"x{i + 1}" for i in range(generators))
-    return FiniteAlgebra(p, d, labels, sc, one,
-                         name=f"F{p}<{generators} nil gens>",
-                         known_radical=rad)
+    return FiniteAlgebra(p, d, labels, sc, one, name=f"F{p}<{generators} nil gens>")

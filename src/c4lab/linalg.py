@@ -203,7 +203,10 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
 
     b is at least two-dimensional, a may be a vector, and leading axes
     broadcast like ``np.matmul``.  The shapes and p pick the path (float64
-    BLAS or chunked int64); see the module docstring.
+    BLAS or chunked int64); see the module docstring.  Neither path needs p
+    prime, so it is equally exact for the prime-power modulus q <= p*n
+    with which ``algebra.jacobson_radical`` raises n x n matrices to p-th
+    powers.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -397,12 +400,6 @@ def decode_codes(codes, width: int, p: int) -> np.ndarray:
         out[:, pos] = c % p
         c //= p
     return out
-
-
-def encode_codes(rows, p: int) -> np.ndarray:
-    """Inverse of decode_codes: the code of each digit row (last axis)."""
-    rows = np.asarray(rows)
-    return rows @ p ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
 def coeff_blocks(total: int, width: int, p: int, block: int = 4096):

@@ -78,7 +78,7 @@ def run_check(name, check) -> list:
 
 def block_idempotent_coords(ring, mat_prog):
     """Coordinates of E11 (x) 1 inside End(R^2), via the certified bridge."""
-    bridge = end_algebra(mat_prog.module, projective=True).certified_iso
+    bridge = end_algebra(mat_prog.module).certified_iso
     rows = bridge["coords"][0:ring.dim]
     return linalg.matmul_mod(ring.one, rows, ring.p)
 

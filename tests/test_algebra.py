@@ -1,8 +1,10 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
+from c4lab import linalg
 from c4lab.algebra import (
     FiniteAlgebra,
     PrimeField,
@@ -17,6 +19,11 @@ from c4lab.algebra import (
     quotient_algebra,
     upper_triangular_algebra,
 )
+from c4lab.corpus import corpus_rings, local_square_zero_algebra
+from c4lab.io import parse_ring
+from c4lab.modules import is_semisimple, regular_module
+from test_conditions import _raw_spec
+from test_modules import rebased
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +118,7 @@ def test_radical_examples(f2, r2, m2):
 
 
 def test_radical_matches_exhaustive_on_constructed_algebras():
-    # constructor-propagated radicals agree with quasi-regularity
+    # a constructor-built ring and its bare re-construction get one radical
     for alg in (matrix_algebra(poly_quotient_algebra(2, [0, 0, 1]), 2),
                 upper_triangular_algebra(2, 2),
                 product_algebra(field_algebra(2), field_algebra(2))):
@@ -119,6 +126,85 @@ def test_radical_matches_exhaustive_on_constructed_algebras():
         fresh = FiniteAlgebra(alg.p, alg.dim, alg.labels, alg.sc, alg.one)
         computed = jacobson_radical(fresh).basis
         assert np.array_equal(attached, computed)
+
+
+def quasi_regular_radical(a):
+    """The oracle: J(A) = {x : 1 - x*r is a unit for every r}, scanning
+    every non-unit x against all p^dim elements r (p^(2 dim) products)."""
+    p, n = a.p, a.dim
+    rows = linalg.decode_codes(np.arange(p ** n, dtype=np.int64), n, p)
+    lmats = linalg.combine(rows, a.sc, p)                 # L_x, row j is x*b_j
+    units = np.array([linalg.is_invertible(lm, p) for lm in lmats])
+    codes = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    bad = ~units[(a.one - rows) % p @ codes]              # y with 1 - y not a unit
+    candidates = np.flatnonzero(~units)
+    members = []
+    for block in np.array_split(candidates, max(1, len(candidates) // 64)):
+        prods = linalg.matmul_mod(rows, lmats[block], p)  # prods[k, r] = x_k * r
+        members.append(rows[block[~bad[prods @ codes].any(axis=1)]])
+    return linalg.row_space(np.concatenate(members), p)
+
+
+def constructor_rings(p):
+    """Rings built by every constructor over GF(p): fields, local,
+    semisimple and mixed polynomial quotients, triangular, matrix, product,
+    corner and quotient algebras."""
+    fp, rp = field_algebra(p), poly_quotient_algebra(p, [0, 0, 1])
+    irreducible = {2: [1, 1, 1], 3: [1, 0, 1], 5: [2, 0, 1]}[p]
+    tp, m2rp = upper_triangular_algebra(p, 2), matrix_algebra(rp, 2)
+    rings = [fp, rp, poly_quotient_algebra(p, [0, 0, 0, 1]),
+             poly_quotient_algebra(p, irreducible), poly_quotient_algebra(p, [0, 0, p - 1, 1]),
+             tp, upper_triangular_algebra(p, 3), matrix_algebra(fp, 2), m2rp,
+             product_algebra(fp, rp), product_algebra(rp, tp),
+             corner_algebra(m2rp, m2rp.basis_element(0)).algebra,
+             corner_algebra(tp, tp.basis_element(0)).algebra,
+             quotient_algebra(tp, jacobson_radical(tp))[0], local_square_zero_algebra(p, 2)]
+    if p == 2:
+        rings += [poly_quotient_algebra(2, [0, 0, 0, 0, 1]), matrix_algebra(fp, 3),
+                  matrix_algebra(poly_quotient_algebra(2, [0, 0, 0, 1]), 2)]
+    if p == 5:
+        rings += [poly_quotient_algebra(5, [0, 0, 0, 0, 0, 1])]
+    return [a for a in rings if a.p ** a.dim <= 2 ** 12]
+
+
+def test_radical_matches_the_quasi_regular_scan_on_the_corpus_rings():
+    for ring in corpus_rings().values():
+        assert np.array_equal(jacobson_radical(ring).basis, quasi_regular_radical(ring)), ring.name
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_radical_matches_the_quasi_regular_scan_on_constructor_rings(p):
+    """Each constructor ring, its raw re-parse and the ring in a random
+    basis (where 1 is not in general a basis element)."""
+    rings = constructor_rings(p)
+    assert len(rings) >= 14
+    for seed, ring in enumerate(rings):
+        want = quasi_regular_radical(ring)
+        parsed = parse_ring(_raw_spec(ring, ring.name))
+        for alg in (ring, parsed):
+            assert np.array_equal(jacobson_radical(alg).basis, want), alg.name
+        moved = rebased(ring, seed)
+        assert np.array_equal(jacobson_radical(moved).basis, quasi_regular_radical(moved)), \
+            moved.name
+
+
+def test_a_parsed_matrix_ring_over_a_matrix_ring_is_semisimple_in_under_a_second():
+    ring = parse_ring(_raw_spec(matrix_algebra(matrix_algebra(field_algebra(2), 2), 2),
+                                "M2(M2(F2))"))
+    start = time.perf_counter()
+    assert is_semisimple(regular_module(ring))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p", [65521, 2 ** 31 - 1])
+def test_large_prime_constructor_rings_carry_their_radical(p):
+    base = poly_quotient_algebra(p, [0, 0, 1])
+    m2 = matrix_algebra(base, 2)
+    # M2(J): x in each of the four matrix positions
+    assert np.array_equal(jacobson_radical(m2).basis, linalg.eye(8)[[1, 3, 5, 7]])
+    # J x 0
+    assert np.array_equal(jacobson_radical(product_algebra(base, field_algebra(p))).basis,
+                          [[0, 1, 0]])
 
 
 def test_radical_is_nilpotent_two_sided():

@@ -423,3 +423,48 @@ def test_an_unexpected_exception_exits_3_with_one_line(runner, r2_file, monkeypa
     assert result.exit_code == 3
     assert isinstance(result.exception, SystemExit)
     assert result.output == "internal error: KeyError: 'socle'\n"
+
+
+def test_a_large_prime_matrix_ring_is_partial_on_its_own_guards(runner, tmp_path):
+    # M2(F65521[x]/(x^2)): its radical needs no element enumeration, so
+    # parsing succeeds and each section stops at its End or lattice guard
+    ring = tmp_path / "m2big.json"
+    ring.write_text(json.dumps({"construct": "matrix", "n": 2, "base": {
+        "construct": "poly_quotient", "p": 65521, "f": [0, 0, 1]}}))
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["analyze", str(ring), "--ring", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    total = 65521 ** 8
+    name = "M2(F65521[x]/(x^2))_reg"
+    end = f"endomorphism scan of {name}: needs {total} > bound {2 ** 20}"
+    lattice = f"submodule lattice of {name}: needs {total} > bound {2 ** 16}"
+    assert json.loads(out.read_text())["partial_sections"] == {
+        "def_c4": end, "def_c4star": lattice, "obs_swcs": end,
+        "extension(2,1)": lattice, "ring_scan": lattice}
+
+
+@pytest.mark.parametrize("base, flags, ring_scan", [
+    ({"construct": "matrix", "n": 2, "base": {"construct": "field", "p": 2}},
+     {"C4": True, "C4star": True, "swCS": True, "strong": True},
+     {"right_ideals": 67, "all_ideals_c4": True, "failing_ideal_dims": []}),
+    ({"construct": "poly_quotient", "p": 2, "f": [0, 0, 0, 1]},
+     {"C4": True, "C4star": False, "swCS": True, "strong": False},
+     {"right_ideals": 37, "all_ideals_c4": False,
+      "failing_ideal_dims": [6] * 3 + [8] * 6 + [10] * 3})])
+def test_a_parsed_matrix_ring_reads_like_the_constructed_one(runner, tmp_path, base, flags,
+                                                             ring_scan):
+    """M2(M2(F2)) and M2(F2[x]/(x^3)) as raw structure constants, whose
+    radical is computed from the constants alone: at default guards the
+    report is exact and reads the flags and right-ideal scan of the
+    constructor-built ring."""
+    from c4lab.algebra import matrix_algebra
+    from c4lab.io import parse_ring
+    from test_conditions import _raw_spec
+
+    path, out = tmp_path / "raw.json", tmp_path / "report.json"
+    path.write_text(json.dumps(_raw_spec(matrix_algebra(parse_ring(base), 2), "M2")))
+    result = runner.invoke(main, ["analyze", str(path), "--ring", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(out.read_text())
+    assert payload["flags"] == flags and payload["ring_scan"] == ring_scan
+    assert payload["partial_sections"] == {}

@@ -20,13 +20,13 @@ import pytest
 
 from c4lab import corpus, linalg
 from c4lab.conditions import build_defect_report, obs_swcs
-from c4lab.modules import regular_module
-from c4lab.morita import morita_pair_check
+from c4lab.modules import regular_module, socle
+from c4lab.morita import apply_functor, build_progenerator, morita_pair_check, transport_submodule
 from c4lab.suite import SIDES, transport_side
 
 KERNELS = ("rref", "row_space", "left_nullspace", "right_kernel_cols", "solve_left_many",
            "in_row_space", "sum_rows", "intersect_rows", "inv_mod", "rank", "is_invertible",
-           "row_spaces", "quotient_projection", "matmul_mod", "combine", "encode_codes")
+           "row_spaces", "quotient_projection", "matmul_mod", "combine")
 # the public functions of linalg that take no GF(p) array: input normalization,
 # constructors, a scalar inverse and the coefficient enumerators
 EXEMPT = ("as_gf", "zeros", "eye", "inv_scalar", "decode_codes", "coeff_blocks")
@@ -90,6 +90,9 @@ def test_kernels_see_only_canonical_read_only_arrays(calls):
             realization, module = transport_side(entry, kind)
             result = morita_pair_check(module.ring, realization, module)
             assert result["violations"] == 0
+            # a transported submodule reads its membership columns
+            tr = apply_functor(build_progenerator(module.ring, realization), module)
+            transport_submodule(tr, socle(module))
     # the wrappers saw the work: every kernel ran but two that no report
     # or transport check calls
     assert set(KERNELS) - set(calls) <= {"inv_mod", "is_invertible"}

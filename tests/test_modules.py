@@ -204,7 +204,9 @@ def rebased(ring, seed):
     sc = (np.einsum("ia,jb,abc,ck->ijk", obj[0], obj[0], obj[1], obj[2]) % p).astype(np.int64)
     one = (ring.one.astype(object) @ obj[2] % p).astype(np.int64)
     rad = (jacobson_radical(ring).basis.astype(object) @ obj[2] % p).astype(np.int64)
-    return FiniteAlgebra(p, d, ring.labels, sc, one, name=f"{ring.name}'", known_radical=rad)
+    out = FiniteAlgebra(p, d, ring.labels, sc, one, name=f"{ring.name}'")
+    assert np.array_equal(jacobson_radical(out).basis, linalg.row_space(rad, p))
+    return out
 
 
 def radical_layers(ring):
@@ -269,7 +271,6 @@ def test_end_of_a_matrix_ring_matches_the_commutation_solve(base):
 
 def test_hom_space_matches_the_commutation_solve_at_large_primes():
     for p in (65521, 2 ** 31 - 1):
-        # rings whose radical is known, so nothing enumerates elements
         rings = [local_square_zero_algebra(p, 2), upper_triangular_algebra(p, 2)]
         rings.append(rebased(rings[-1], p % 97))
         for ring in rings:
